@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import channel as ch
-from . import learner, montecarlo, orchestrator, theory
-from .config import Config, config_hash, parse_config, resolved_json
+from . import montecarlo, orchestrator, theory
+from .config import ChannelConfig, Config, load_config, parse_config, resolved_json
 from .errors import ConfigError, FormatError, NumericError, UsageError
 
 
@@ -48,12 +48,14 @@ def _collect_overrides(extras: list[str]) -> dict:
 
 def _load_run_config(args, extras) -> Config:
     overrides = _collect_overrides(extras)
-    cfg = parse_config(args.config, overrides)
     env_seed = os.environ.get("OPTIVOTE_SEED")
     if env_seed is not None:
-        cfg = cfg.model_copy(deep=True)
-        cfg.run.seed = int(env_seed)
-    return cfg
+        try:
+            overrides["run.seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"OPTIVOTE_SEED must be an integer, got {env_seed!r}") from None
+    return parse_config(args.config, overrides)
 
 
 def _cmd_simulate(args, extras) -> int:
@@ -84,21 +86,10 @@ def _cmd_simulate(args, extras) -> int:
     return 0
 
 
-# Theory operation registry: name -> (fn, required flag names).
-def _op_lambda_eff(a):
-    return ch.lambda_eff(ch.ChannelParams(
-        d_min=a.d_min_km * 1e3, d_max=a.d_max_km * 1e3,
-        lambda_opt=a.lambda_opt_nm * 1e-9, a0=a.a0, xi_p=a.xi_p,
-        sigma_n2=a.sigma_n2, c_fspl=a.c_fspl,
-    ))
-
-
-def _op_lambda_oracle(a):
-    return ch.lambda_oracle(ch.ChannelParams(
-        d_min=a.d_min_km * 1e3, d_max=a.d_max_km * 1e3,
-        lambda_opt=a.lambda_opt_nm * 1e-9, a0=a.a0, xi_p=a.xi_p,
-        sigma_n2=a.sigma_n2, c_fspl=a.c_fspl,
-    ))
+def _channel_params(a) -> ch.ChannelParams:
+    """The channel flags, validated and converted to SI as the config's are."""
+    section = {key: getattr(a, key) for key in ChannelConfig.model_fields}
+    return load_config({"channel": section}).channel.to_params()
 
 
 def _theory_inputs(a) -> theory.TheoryInputs:
@@ -106,6 +97,7 @@ def _theory_inputs(a) -> theory.TheoryInputs:
                                sigma_l1=a.sigma_l1, N=a.N, gamma=a.gamma)
 
 
+# Theory operation registry: name -> fn of the parsed flags.
 THEORY_OPS = {
     "theta": lambda a: theory.theta(a.p_avg, a.lam),
     "energy_means": lambda a: theory.energy_means(a.m_plus, a.m_minus, a.theta, a.sigma_n2),
@@ -114,9 +106,8 @@ THEORY_OPS = {
     "error_bound_full": lambda a: theory.error_bound_full(a.M, a.xi, a.g, a.alpha, a.d_b),
     "corollary1_check": lambda a: theory.corollary1_check(a.m_plus, a.M, a.p_err),
     "convergence_bound": lambda a: theory.convergence_bound(_theory_inputs(a)),
-    "convergence_bound_appendix": lambda a: theory.convergence_bound_appendix(_theory_inputs(a)),
-    "lambda_eff": _op_lambda_eff,
-    "lambda_oracle": _op_lambda_oracle,
+    "lambda_eff": lambda a: ch.lambda_eff(_channel_params(a)),
+    "lambda_oracle": lambda a: ch.lambda_oracle(_channel_params(a)),
 }
 
 
@@ -198,13 +189,7 @@ def _cmd_verify(args, extras) -> int:
 
 def _cmd_partition_inspect(args, extras) -> int:
     cfg = _load_run_config(args, extras)
-    train, _ = orchestrator._build_datasets(cfg, cfg.run.seed)
-    from .rng import TAG_DATA, derive
-    shards = learner.partition(
-        train, cfg.run.M, cfg.learner.partition.mode,
-        seed=int(derive(cfg.run.seed, TAG_DATA, 1).integers(2**31)),
-        labels_per_node=cfg.learner.partition.labels_per_node,
-    )
+    train, _, shards = orchestrator.build_data(cfg)
     info = []
     for node, idx in enumerate(shards):
         labels, counts = np.unique(train.labels[idx], return_counts=True)

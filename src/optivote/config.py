@@ -11,10 +11,10 @@ import json
 from pathlib import Path
 from typing import Literal, Optional
 
-from pydantic import BaseModel, ConfigDict, ValidationError, model_validator
+from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from .channel import ChannelParams
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .power import PowerParams
 
 SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
@@ -24,7 +24,19 @@ class _Strict(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
 
-class ChannelConfig(_Strict):
+class _Section(_Strict):
+    """A section whose range checks live in the parameter dataclass it builds."""
+
+    @model_validator(mode="after")
+    def _check(self):
+        try:
+            self.to_params()
+        except UsageError as err:
+            raise ValueError(str(err)) from err
+        return self
+
+
+class ChannelConfig(_Section):
     d_min_km: float = 500.0
     d_max_km: float = 2000.0
     lambda_opt_nm: float = 1550.0
@@ -32,18 +44,6 @@ class ChannelConfig(_Strict):
     xi_p: float = 1.5
     sigma_n2: float = 0.1
     c_fspl: Optional[float] = None
-
-    @model_validator(mode="after")
-    def _check(self):
-        if not (0 < self.d_min_km < self.d_max_km):
-            raise ValueError("channel.d_min_km must satisfy 0 < d_min_km < d_max_km")
-        if not (0 < self.a0 <= 1):
-            raise ValueError("channel.a0 must lie in (0, 1]")
-        if self.xi_p <= 0:
-            raise ValueError("channel.xi_p must be positive")
-        if self.sigma_n2 < 0:
-            raise ValueError("channel.sigma_n2 must be non-negative")
-        return self
 
     def to_params(self) -> ChannelParams:
         return ChannelParams(
@@ -57,20 +57,12 @@ class ChannelConfig(_Strict):
         )
 
 
-class PowerConfig(_Strict):
+class PowerConfig(_Section):
     p_avg: float = 1.0
     p_min: float = 0.1
     p_max: float = 2.0
     rho: float = 0.05
     abar_scope: Literal["all", "active"] = "all"
-
-    @model_validator(mode="after")
-    def _check(self):
-        if not (0 < self.p_min <= self.p_avg <= self.p_max):
-            raise ValueError("power.p_min must satisfy 0 < p_min <= p_avg <= p_max")
-        if self.rho < 0:
-            raise ValueError("power.rho must be non-negative")
-        return self
 
     def to_params(self) -> PowerParams:
         return PowerParams(
@@ -125,7 +117,7 @@ class LearnerConfig(_Strict):
     dataset: DatasetConfig = DatasetConfig()
     model: ModelConfig = ModelConfig()
     partition: PartitionConfig = PartitionConfig()
-    local_steps: int = 1
+    local_steps: int = Field(1, ge=1)
 
 
 class RunConfig(_Strict):
@@ -136,9 +128,8 @@ class RunConfig(_Strict):
     eta: float = 0.05
     lr: Literal["constant", "theorem1"] = "constant"
     L1_estimate: Optional[float] = None
-    scheme: Literal["optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air"] = "optivote"
+    scheme: Literal[SCHEMES] = "optivote"
     seed: int = 0
-    frame_capacity: Optional[int] = None  # default 2q (single frame)
 
     @model_validator(mode="after")
     def _check(self):

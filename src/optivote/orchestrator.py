@@ -1,21 +1,24 @@
 """End-to-end federated rounds under a chosen aggregation scheme.
 
-Round structure: select active nodes, compute local mini-batch gradients,
-sign-quantize, (for the adaptive scheme) refresh consistency scores
-against the previous broadcast vote and update powers, transmit over the
-PPM channel, detect the majority vote, step the global model, evaluate.
-The downlink is error-free, so a single global model is stored.
+Every scheme runs one round pipeline: select active nodes, compute local
+mini-batch gradients, sign-quantize, (for the adaptive schemes) refresh
+consistency scores against the previous broadcast vote and update
+powers, draw the channel, aggregate, step the global model, evaluate.
+Schemes differ only in their entry of ``_SCHEMES``: whether they draw a
+channel, whether they adapt power, and how they aggregate.  The downlink
+is error-free, so a single global model is stored.
 """
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import channel as ch
 from . import learner, phy, power, theory
 from .config import Config, config_hash
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .rng import TAG_CHANNEL, TAG_DATA, TAG_GRADIENT, TAG_NOISE, TAG_SELECT, derive
 
 
@@ -70,8 +73,9 @@ def aggregate_fedavg_air(
     return agg
 
 
-def _build_datasets(cfg: Config, seed: int) -> tuple[learner.Dataset, learner.Dataset]:
-    ds = cfg.learner.dataset
+def build_data(cfg: Config) -> tuple[learner.Dataset, learner.Dataset, list[np.ndarray]]:
+    """(train, test, per-node training shards), deterministic in run.seed."""
+    ds, seed, M = cfg.learner.dataset, cfg.run.seed, cfg.run.M
     if ds.type == "synthetic":
         full = learner.make_synthetic(
             ds.num_classes, ds.n + ds.n_test, ds.d, ds.separation,
@@ -81,10 +85,72 @@ def _build_datasets(cfg: Config, seed: int) -> tuple[learner.Dataset, learner.Da
                                 full.num_classes, full.name)
         test = learner.Dataset(full.features[ds.n :], full.labels[ds.n :],
                                full.num_classes, full.name)
-        return train, test
-    train = learner.load_mnist_idx(ds.train_images, ds.train_labels)
-    test = learner.load_mnist_idx(ds.test_images, ds.test_labels)
-    return train, test
+    else:
+        train = learner.load_mnist_idx(ds.train_images, ds.train_labels)
+        test = learner.load_mnist_idx(ds.test_images, ds.test_labels)
+    part = cfg.learner.partition
+    shards = learner.partition(
+        train, M, part.mode,
+        seed=int(derive(seed, TAG_DATA, 1).integers(2**31)),
+        labels_per_node=part.labels_per_node,
+    )
+    empty = sum(len(s) == 0 for s in shards)
+    if empty:
+        raise ConfigError(
+            f"run.M / learner.partition: {empty} of run.M = {M} shards are empty "
+            f"when {train.n} training samples are split with mode {part.mode!r}"
+        )
+    return train, test, shards
+
+
+class _Uplink(NamedTuple):
+    """What the active cohort sends in one round, and the link it crosses."""
+
+    grads: np.ndarray  # (m, q) local gradients
+    signs: np.ndarray  # (m, q) their one-bit quantization
+    ideal: np.ndarray  # (q,) error-free majority of ``signs``
+    powers: np.ndarray  # (m,) transmit powers
+    intensities: np.ndarray | None  # (m,) block-fading gains; None off the air
+    sigma_n2: float
+    noise_rng: np.random.Generator | None
+
+
+# Aggregators: (model, eta, uplink) -> (stepped model, vote or None, slot
+# energies or None).  They look the layer functions up at call time, so a
+# wrapper rebound onto a module attribute (perfbench's tracer) sees the call.
+def _vote_over_air(model, eta, up: _Uplink):
+    e_plus, e_minus = phy.superpose_frame(
+        up.signs, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
+    mv = phy.detect_mv(e_plus, e_minus)
+    return learner.apply_mv_update(model, mv, eta), mv, (e_plus, e_minus)
+
+
+def _vote_error_free(model, eta, up: _Uplink):
+    return learner.apply_mv_update(model, up.ideal, eta), up.ideal, None
+
+
+def _analog_over_air(model, eta, up: _Uplink):
+    agg = aggregate_fedavg_air(
+        up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
+    return learner.apply_gradient_update(model, agg, eta), None, None
+
+
+class _Scheme(NamedTuple):
+    aggregate: Callable
+    over_air: bool = True  # draw block fading and receiver noise
+    adapts_power: bool = False  # score signs against the last vote, step powers
+    rho: float | None = None  # overrides power.rho when set
+
+
+# One entry per name in config.SCHEMES.  The fixed-power variant is the
+# adaptive scheme with the step size pinned to zero, so the two share one
+# code path bit-for-bit.
+_SCHEMES = {
+    "optivote": _Scheme(_vote_over_air, adapts_power=True),
+    "optivote_fixed_power": _Scheme(_vote_over_air, adapts_power=True, rho=0.0),
+    "ideal_mv": _Scheme(_vote_error_free, over_air=False),
+    "fedavg_air": _Scheme(_analog_over_air),
+}
 
 
 def run(cfg: Config) -> RunSummary:
@@ -92,24 +158,14 @@ def run(cfg: Config) -> RunSummary:
     t0 = time.monotonic()
     rc = cfg.run
     seed = rc.seed
-    scheme = rc.scheme
+    scheme = _SCHEMES[rc.scheme]
 
     params = cfg.channel.to_params()
-    # The fixed-power variant is the adaptive scheme with the step size
-    # pinned to zero, so the two share one code path bit-for-bit.
     pparams = cfg.power.to_params()
-    if scheme == "optivote_fixed_power":
-        pparams = power.PowerParams(
-            p_avg=pparams.p_avg, p_min=pparams.p_min, p_max=pparams.p_max,
-            rho=0.0, abar_scope=pparams.abar_scope,
-        )
+    if scheme.rho is not None:
+        pparams = replace(pparams, rho=scheme.rho)
 
-    train, test = _build_datasets(cfg, seed)
-    shards = learner.partition(
-        train, rc.M, cfg.learner.partition.mode,
-        seed=int(derive(seed, TAG_DATA, 1).integers(2**31)),
-        labels_per_node=cfg.learner.partition.labels_per_node,
-    )
+    train, test, shards = build_data(cfg)
     model = learner.Model.init(
         cfg.learner.model.arch, train.d, train.num_classes,
         hidden=cfg.learner.model.hidden,
@@ -137,45 +193,33 @@ def run(cfg: Config) -> RunSummary:
         ])
         signs = np.stack([learner.sign_quantize(g) for g in grads])
         ideal = phy.ideal_majority(signs)
-        mv_error_rate = 0.0
 
-        if scheme in ("optivote", "optivote_fixed_power"):
-            if last_mv is not None:
-                for row, node in enumerate(active):
-                    pstate.a[node] = power.consistency_score(signs[row], last_mv)
-                pstate = power.update_powers(pstate, pparams, active=active)
+        if scheme.adapts_power and last_mv is not None:
+            for row, node in enumerate(active):
+                pstate.a[node] = power.consistency_score(signs[row], last_mv)
+            pstate = power.update_powers(pstate, pparams, active=active)
+        intensities = noise_rng = None
+        if scheme.over_air:
             intensities = np.array([
                 ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node)).intensity
                 for node in active
             ])
-            e_plus, e_minus = phy.superpose_frame(
-                signs, pstate.p[active], intensities, params.sigma_n2,
-                derive(seed, TAG_NOISE, n),
-            )
-            mv = phy.detect_mv(e_plus, e_minus)
+            noise_rng = derive(seed, TAG_NOISE, n)
+
+        model, mv, slots = scheme.aggregate(model, eta, _Uplink(
+            grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
+            noise_rng,
+        ))
+        mv_error_rate = 0.0
+        if mv is not None:
             mv_error_rate = float(np.mean(mv != ideal))
-            model = learner.apply_mv_update(model, mv, eta)
             last_mv = mv
-            if cfg.output.dump_slots:
-                for i in range(model.q):
-                    summary.slot_rows.append(
-                        (n, i, e_plus[i], e_minus[i], e_plus[i] - e_minus[i])
-                    )
-        elif scheme == "ideal_mv":
-            model = learner.apply_mv_update(model, ideal, eta)
-            last_mv = ideal
-        elif scheme == "fedavg_air":
-            intensities = np.array([
-                ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node)).intensity
-                for node in active
-            ])
-            agg = aggregate_fedavg_air(
-                grads, pstate.p[active], intensities, params.sigma_n2,
-                derive(seed, TAG_NOISE, n),
-            )
-            model = learner.apply_gradient_update(model, agg, eta)
-        else:
-            raise UsageError(f"unknown scheme {scheme!r}")
+        if slots is not None and cfg.output.dump_slots:
+            e_plus, e_minus = slots
+            for i in range(model.q):
+                summary.slot_rows.append(
+                    (n, i, e_plus[i], e_minus[i], e_plus[i] - e_minus[i])
+                )
 
         train_loss, _ = learner.evaluate(model, train)
         _, test_acc = learner.evaluate(model, test)

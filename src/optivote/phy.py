@@ -1,4 +1,4 @@
-"""PPM majority-vote PHY: transmitter encoding and non-coherent detection.
+"""PPM majority-vote PHY: slot-pair superposition and non-coherent detection.
 
 Each gradient coordinate owns an adjacent slot pair (tau+, tau-).  A node
 puts its (power- and channel-scaled) pulse in tau+ for a +1 sign and in
@@ -9,78 +9,9 @@ only the two scalar slot sums do.
 Symbol energy E_s and receiver gain C_R are fixed to 1.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
 import numpy as np
 
 from .errors import UsageError
-
-
-@dataclass(frozen=True)
-class SlotEnergyPair:
-    """Accumulated energies of one coordinate's slot pair."""
-
-    e_plus: float
-    e_minus: float
-
-    @property
-    def delta(self) -> float:
-        return self.e_plus - self.e_minus
-
-
-class SlotAssignment(NamedTuple):
-    frame: int
-    tau_plus: int
-    tau_minus: int
-
-
-def ppm_encode(sign: int) -> tuple[float, float]:
-    """Slot activation pair (amplitude at tau+, amplitude at tau-)."""
-    if sign == 1:
-        return (1.0, 0.0)
-    if sign == -1:
-        return (0.0, 1.0)
-    raise UsageError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def frame_map(i: int, frame_capacity: int) -> SlotAssignment:
-    """Bijective coordinate -> adjacent slot pair map, spilling across frames."""
-    if frame_capacity < 2 or frame_capacity % 2 != 0:
-        raise UsageError("frame_capacity must be even and >= 2")
-    pairs_per_frame = frame_capacity // 2
-    frame, k = divmod(i, pairs_per_frame)
-    return SlotAssignment(frame=frame, tau_plus=2 * k, tau_minus=2 * k + 1)
-
-
-def superpose(
-    signs: Sequence[int],
-    powers: Sequence[float],
-    intensities: Sequence[float],
-    sigma_n2: float,
-    rng: np.random.Generator,
-) -> SlotEnergyPair:
-    """Accumulated slot energies for a single coordinate.
-
-    e+ sums P_m * I_m over nodes voting +1, e- over nodes voting -1; each
-    slot then picks up the mean accumulated noise energy sigma_n2 plus an
-    independent N(0, sigma_n2) fluctuation.  The common sigma_n2 floor
-    cancels in the differential detector; slot energies may still go
-    negative under the fluctuation, which detection tolerates.
-    """
-    signs = np.asarray(signs)
-    powers = np.asarray(powers, dtype=float)
-    intensities = np.asarray(intensities, dtype=float)
-    if not (signs.shape == powers.shape == intensities.shape):
-        raise UsageError("signs, powers, intensities must have equal length")
-    amp = powers * intensities
-    e_plus = float(amp[signs == 1].sum())
-    e_minus = float(amp[signs == -1].sum())
-    if sigma_n2 > 0:
-        noise = rng.normal(0.0, np.sqrt(sigma_n2), size=2)
-        e_plus += sigma_n2 + noise[0]
-        e_minus += sigma_n2 + noise[1]
-    return SlotEnergyPair(e_plus=e_plus, e_minus=e_minus)
 
 
 def superpose_frame(
@@ -90,10 +21,15 @@ def superpose_frame(
     sigma_n2: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized superposition over all q coordinates at once.
+    """Accumulated slot energies of all q coordinates' slot pairs.
 
     ``signs`` is (m, q) over {-1,+1}; powers and intensities are (m,)
-    block-fading values shared by all coordinates of a node.  Returns
+    block-fading values shared by all coordinates of a node.  Per
+    coordinate, e+ sums P_m * I_m over nodes voting +1 and e- over nodes
+    voting -1; each slot then picks up the mean noise energy sigma_n2 plus
+    an independent N(0, sigma_n2) fluctuation.  The common floor cancels
+    in the differential detector; slot energies may still go negative
+    under the fluctuation, which detection tolerates.  Returns
     (e_plus, e_minus), each (q,).
     """
     signs = np.asarray(signs)
@@ -119,15 +55,6 @@ def detect_mv(e_plus: np.ndarray, e_minus: np.ndarray) -> np.ndarray:
     """Per-coordinate vote: sign(e+ - e-), with the tie delta=0 -> +1."""
     delta = np.asarray(e_plus, dtype=float) - np.asarray(e_minus, dtype=float)
     return np.where(delta >= 0.0, 1, -1).astype(np.int8)
-
-
-def detect_mv_pairs(pairs: Sequence[SlotEnergyPair]) -> np.ndarray:
-    """detect_mv over a list of SlotEnergyPair records."""
-    if len(pairs) < 1:
-        raise UsageError("need at least one coordinate")
-    e_plus = np.array([p.e_plus for p in pairs])
-    e_minus = np.array([p.e_minus for p in pairs])
-    return detect_mv(e_plus, e_minus)
 
 
 def ideal_majority(signs: np.ndarray) -> np.ndarray:

@@ -120,17 +120,6 @@ def convergence_bound(inputs: TheoryInputs) -> float:
     return (term1 + term2) / math.sqrt(inputs.N)
 
 
-def convergence_bound_appendix(inputs: TheoryInputs) -> float:
-    """Alternative grouping with the gamma terms split as in the proof's
-    final rearrangement; exposed for comparison with convergence_bound."""
-    c = 1.0 + 2.0 / (inputs.xi_snr * inputs.M)
-    n, gamma = inputs.N, inputs.gamma
-    term_a = c * math.sqrt(gamma) / (2.0 * math.sqrt(n)) * math.sqrt(inputs.L1)
-    term_b = c * math.sqrt(inputs.L1) / math.sqrt(n * gamma) * inputs.gap
-    term_c = 2.0 * math.sqrt(2.0) * math.sqrt(gamma) * inputs.sigma_l1 / (3.0 * math.sqrt(n))
-    return term_a + term_b + term_c
-
-
 def theorem1_eta(L1: float, d_b: int) -> float:
     """Learning-rate schedule eta = 1 / sqrt(L1 * d_b)."""
     if L1 <= 0 or d_b < 1:

@@ -118,13 +118,12 @@ def test_criterion_05_brute_force_detection():
         patterns = ((np.arange(2**M)[:, None] >> np.arange(M)) & 1) * 2 - 1
         sums = patterns.sum(axis=1)
         untied = patterns[sums != 0]
-        for votes in untied:
-            pair = phy.superpose(votes, np.ones(M), np.ones(M), 0.0, derive(0, 6))
-            detected = int(phy.detect_mv(np.array([pair.e_plus]),
-                                         np.array([pair.e_minus]))[0])
-            if detected != int(np.sign(votes.sum())):
-                mismatches += 1
-            checked += 1
+        # one frame per cohort size: coordinate k carries vote pattern k
+        e_plus, e_minus = phy.superpose_frame(
+            untied.T, np.ones(M), np.ones(M), 0.0, derive(0, 6))
+        detected = phy.detect_mv(e_plus, e_minus)
+        mismatches += int(np.sum(detected != np.sign(sums[sums != 0])))
+        checked += len(untied)
     elapsed = time.monotonic() - t0
     report(5, "exhaustive detection vs majority sign (M<=12, <=10s)",
            mismatches == 0 and elapsed <= 10.0,

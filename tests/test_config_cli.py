@@ -89,6 +89,18 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(path)
 
+    def test_channel_range_checked_at_load(self):
+        with pytest.raises(ConfigError, match="channel: .*c_fspl"):
+            load_config({"channel": {"c_fspl": -1}})
+
+    def test_local_steps_must_be_positive(self):
+        with pytest.raises(ConfigError, match="learner.local_steps"):
+            load_config({"learner": {"local_steps": 0}})
+
+    def test_frame_capacity_key_rejected(self):
+        with pytest.raises(ConfigError, match="run.frame_capacity"):
+            load_config({"run": {"frame_capacity": 8}})
+
     def test_channel_unit_conversion(self):
         params = load_config({}).channel.to_params()
         assert params.d_min == 500e3
@@ -122,6 +134,18 @@ class TestCliSimulate:
         assert cli.main(["simulate", "--config", cfg_path]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 42
+
+    def test_bad_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        cfg_path = fast_config(tmp_path)
+        monkeypatch.setenv("OPTIVOTE_SEED", "abc")
+        assert cli.main(["simulate", "--config", cfg_path]) == 1
+        assert "OPTIVOTE_SEED" in capsys.readouterr().err
+
+    def test_bad_channel_rejected_before_writing(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path, channel={"c_fspl": -1})
+        assert cli.main(["simulate", "--config", cfg_path]) == 1
+        assert "channel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
         cfg_path = fast_config(tmp_path)
@@ -181,6 +205,10 @@ class TestCliTheory:
         oracle = json.loads(capsys.readouterr().out)["lambda_oracle"]
         assert closed == pytest.approx(oracle, rel=1e-9)
 
+    def test_bad_channel_flag_exits_one(self, capsys):
+        assert cli.main(["theory", "--op", "lambda_eff", "--a0", "1.5"]) == 1
+        assert "channel" in capsys.readouterr().err
+
     def test_domain_error_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -229,3 +257,9 @@ class TestCliPartitionInspect:
         for node in info:
             assert len(node["labels"]) <= 2
             assert node["samples"] == sum(node["labels"].values())
+
+    def test_empty_shard_names_keys(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["partition-inspect", "--config", cfg_path,
+                         "--run.M", "300"]) == 1
+        assert "run.M" in capsys.readouterr().err

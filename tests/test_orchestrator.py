@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from optivote import learner, orchestrator as orch
-from optivote.config import load_config
-from optivote.errors import UsageError
+from optivote.config import SCHEMES, load_config
+from optivote.errors import ConfigError, UsageError
 from optivote.rng import TAG_DATA, derive
 
 from conftest import UNIT_CFSPL
@@ -72,7 +72,29 @@ class TestAggregateFedavgAir:
                                       0.0, derive(0, 9))
 
 
+class TestBuildData:
+    def test_shards_cover_nodes(self):
+        train, test, shards = orch.build_data(load_config(small_config()))
+        assert (train.n, test.n) == (400, 200)
+        assert len(shards) == 8 and all(len(s) == 50 for s in shards)
+
+    def test_empty_shard_names_keys(self):
+        with pytest.raises(ConfigError, match="run.M / learner.partition"):
+            orch.build_data(load_config(small_config(M=3000)))
+
+
 class TestRun:
+    def test_scheme_table_matches_config(self):
+        assert tuple(orch._SCHEMES) == SCHEMES
+
+    def test_ideal_mv_draws_no_channel_and_keeps_powers(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("ideal_mv must not draw a channel")
+
+        monkeypatch.setattr(orch.ch, "sample_channel", no_draw)
+        summary = orch.run(load_config(small_config(scheme="ideal_mv")))
+        assert {(r.mean_power, r.mean_consistency) for r in summary.metrics} == {(1.0, 0.5)}
+
     def test_zero_rounds(self):
         cfg = load_config(small_config(rounds=0))
         summary = orch.run(cfg)

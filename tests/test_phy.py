@@ -7,72 +7,42 @@ from optivote.errors import UsageError
 from optivote.rng import derive
 
 
-class TestPpmEncode:
-    def test_plus_one(self):
-        assert phy.ppm_encode(1) == (1.0, 0.0)
-
-    def test_minus_one(self):
-        assert phy.ppm_encode(-1) == (0.0, 1.0)
-
-    def test_round_trip(self):
-        for sign in (1, -1):
-            plus, minus = phy.ppm_encode(sign)
-            assert (1 if plus > minus else -1) == sign
-
-    def test_rejects_other_values(self):
-        with pytest.raises(UsageError):
-            phy.ppm_encode(0)
-
-
-class TestFrameMap:
-    def test_first_coordinate(self):
-        assert phy.frame_map(0, 8) == (0, 0, 1)
-
-    def test_last_pair_of_frame(self):
-        assert phy.frame_map(3, 8) == (0, 6, 7)
-
-    def test_spill_to_next_frame(self):
-        assert phy.frame_map(4, 8) == (1, 0, 1)
-
-    def test_bijective_and_adjacent(self):
-        seen = set()
-        for i in range(100):
-            frame, tp, tm = phy.frame_map(i, 16)
-            assert tm == tp + 1 and tp % 2 == 0
-            seen.add((frame, tp))
-        assert len(seen) == 100
-
-    def test_rejects_odd_capacity(self):
-        with pytest.raises(UsageError):
-            phy.frame_map(0, 7)
+def superpose(signs, powers, intensities, sigma_n2, rng):
+    """superpose_frame on a single coordinate: (e_plus, e_minus) scalars."""
+    e_plus, e_minus = phy.superpose_frame(
+        np.asarray(signs).reshape(-1, 1), powers, intensities, sigma_n2, rng)
+    return e_plus[0], e_minus[0]
 
 
 class TestSuperpose:
+    """Slot-pair accumulation of one coordinate through superpose_frame."""
+
     def test_noiseless_counts(self):
-        pair = phy.superpose([1, 1, 1, -1], [1, 1, 1, 1], [1, 1, 1, 1], 0.0, derive(0))
-        assert (pair.e_plus, pair.e_minus) == (3.0, 1.0)
+        assert superpose([1, 1, 1, -1], [1, 1, 1, 1], [1, 1, 1, 1],
+                         0.0, derive(0)) == (3.0, 1.0)
 
     def test_noiseless_weighted(self):
-        pair = phy.superpose([1, -1], [2.0, 1.0], [1.0, 1.0], 0.0, derive(0))
-        assert (pair.e_plus, pair.e_minus) == (2.0, 1.0)
-        assert pair.delta == 1.0
+        e_plus, e_minus = superpose([1, -1], [2.0, 1.0], [1.0, 1.0], 0.0, derive(0))
+        assert (e_plus, e_minus) == (2.0, 1.0)
+        assert e_plus - e_minus == 1.0
 
     def test_empty_votes_pure_noise(self):
-        rng = derive(5)
-        pair = phy.superpose([], [], [], 0.5, rng)
-        # noise floor plus a zero-mean fluctuation per slot
-        assert pair.e_plus != 0.0 and pair.e_minus != 0.0
+        # an empty cohort still gets the noise floor plus a zero-mean
+        # fluctuation in every slot
+        e_plus, e_minus = phy.superpose_frame(
+            np.zeros((0, 3), dtype=int), [], [], 0.5, derive(5))
+        assert e_plus.shape == e_minus.shape == (3,)
+        assert np.all(e_plus != 0.0) and np.all(e_minus != 0.0)
 
     def test_slot_energy_mean_includes_noise_floor(self):
         sigma_n2 = 0.25
-        pairs = [phy.superpose([1], [1.0], [1.0], sigma_n2, derive(0, k))
-                 for k in range(20000)]
-        mean_plus = np.mean([p.e_plus for p in pairs])
-        assert mean_plus == pytest.approx(1.0 + sigma_n2, abs=0.02)
+        e_plus, _ = phy.superpose_frame(
+            np.ones((1, 20000), dtype=int), [1.0], [1.0], sigma_n2, derive(0))
+        assert e_plus.mean() == pytest.approx(1.0 + sigma_n2, abs=0.02)
 
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
-            phy.superpose([1, -1], [1.0], [1.0, 1.0], 0.0, derive(0))
+            superpose([1, -1], [1.0], [1.0, 1.0], 0.0, derive(0))
 
 
 class TestDetectMv:
@@ -92,10 +62,10 @@ class TestDetectMv:
                 counts = (signs == 1).sum()
                 if 2 * counts == M:
                     continue
-                pair = phy.superpose(signs, ones, ones, 0.0, derive(0))
+                e_plus, e_minus = superpose(signs, ones, ones, 0.0, derive(0))
                 expected = 1 if counts > M - counts else -1
-                assert phy.detect_mv(np.array([pair.e_plus]),
-                                     np.array([pair.e_minus]))[0] == expected
+                assert phy.detect_mv(np.array([e_plus]),
+                                     np.array([e_minus]))[0] == expected
 
     def test_weighted_vote_identity(self):
         rng = np.random.default_rng(3)
@@ -128,9 +98,10 @@ class TestSuperposeFrame:
         intens = rng.uniform(0.1, 1.0, size=5)
         e_plus, e_minus = phy.superpose_frame(signs, p, intens, 0.0, derive(0))
         for i in range(7):
-            pair = phy.superpose(signs[:, i], p, intens, 0.0, derive(0))
-            assert e_plus[i] == pytest.approx(pair.e_plus)
-            assert e_minus[i] == pytest.approx(pair.e_minus)
+            plus = sum(p[k] * intens[k] for k in range(5) if signs[k, i] == 1)
+            minus = sum(p[k] * intens[k] for k in range(5) if signs[k, i] == -1)
+            assert e_plus[i] == pytest.approx(plus)
+            assert e_minus[i] == pytest.approx(minus)
 
     def test_orthogonality_one_slot_per_node(self):
         # a node's energy lands in exactly one slot of its pair
