@@ -60,10 +60,10 @@ def _load_run_config(args, extras) -> Config:
 
 def _cmd_simulate(args, extras) -> int:
     cfg = _load_run_config(args, extras)
+    summary = orchestrator.run(cfg)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(resolved_json(cfg) + "\n")
-    summary = orchestrator.run(cfg)
     (out / "metrics.csv").write_text(orchestrator.metrics_csv(summary))
     (out / "summary.json").write_text(json.dumps({
         "config_hash": summary.config_hash,

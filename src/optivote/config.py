@@ -8,8 +8,9 @@ optical wavelength in nanometers; everything downstream is SI.
 
 import hashlib
 import json
+import re
 from pathlib import Path
-from typing import Literal, Optional
+from typing import ClassVar, Literal, Optional
 
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
@@ -25,18 +26,28 @@ class _Strict(BaseModel):
 
 
 class _Section(_Strict):
-    """A section whose range checks live in the parameter dataclass it builds."""
+    """A section whose range checks live in the parameter dataclass it builds.
+
+    Those checks name the dataclass's SI fields (``d_min``); the error
+    names the config keys they come from (``channel.d_min_km``).
+    """
+
+    _key: ClassVar[str]
 
     @model_validator(mode="after")
     def _check(self):
         try:
             self.to_params()
         except UsageError as err:
-            raise ValueError(str(err)) from err
+            named = set(re.findall(r"\w+", str(err)))
+            keys = [f"{self._key}.{k}" for k in type(self).model_fields
+                    if k.removesuffix("_km").removesuffix("_nm") in named]
+            raise ValueError(f"{' / '.join(keys) or self._key}: {err}") from err
         return self
 
 
 class ChannelConfig(_Section):
+    _key = "channel"
     d_min_km: float = 500.0
     d_max_km: float = 2000.0
     lambda_opt_nm: float = 1550.0
@@ -58,6 +69,7 @@ class ChannelConfig(_Section):
 
 
 class PowerConfig(_Section):
+    _key = "power"
     p_avg: float = 1.0
     p_min: float = 0.1
     p_max: float = 2.0

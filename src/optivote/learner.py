@@ -42,6 +42,24 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block when the dataset is built and evaluated, so that their
+# temporaries are _BLOCK_ROWS rows tall instead of n.  At 2048 rows the
+# block make_synthetic adds is about a tenth of a 20k-row feature array.
+_BLOCK_ROWS = 2048
+# OpenBLAS (0.3.31, AVX-512 kernels) multiplies a product of at most 1e6
+# multiply-adds in a small-matrix kernel that rounds differently from its
+# blocked kernel.  evaluate keeps each block's products above half this,
+# so each row of a blocked product equals that row of the product over
+# all n rows, whichever kernel that one takes.
+_MIN_BLOCK_MACS = 2**21
+
+
+def _row_blocks(n: int, rows: int):
+    """(start, stop) of ceil(n / rows) near-equal blocks covering range(n)."""
+    k = -(-n // rows)
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
 def make_synthetic(
     num_classes: int, n: int, d: int, separation: float, seed: int
 ) -> Dataset:
@@ -49,6 +67,11 @@ def make_synthetic(
 
     Class means are random unit directions scaled by ``separation``, so
     large separation gives linearly separable data.
+
+    Memory: the (n, d) feature array is the only full-size buffer.  The
+    noise is drawn into it and the class means are added in place, one
+    block of rows at a time, so the peak is n*d floats plus one block.
+    The result is bit-identical to ``means[labels] + rng.normal(size=(n, d))``.
     """
     if min(num_classes, n, d) < 1:
         raise UsageError("num_classes, n, d must all be >= 1")
@@ -56,7 +79,9 @@ def make_synthetic(
     means = rng.normal(size=(num_classes, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
     labels = rng.integers(0, num_classes, size=n)
-    features = means[labels] + rng.normal(size=(n, d))
+    features = rng.standard_normal(size=(n, d))
+    for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+        features[lo:hi] += means[labels[lo:hi]]
     return Dataset(features=features, labels=labels, num_classes=num_classes,
                    name=f"synthetic{num_classes}c")
 
@@ -201,9 +226,11 @@ def _unpack_mlp(model: Model):
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in the fresh logits ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _forward(model: Model, x: np.ndarray):
@@ -212,16 +239,16 @@ def _forward(model: Model, x: np.ndarray):
         W, b = _unpack_logistic(model)
         return _softmax(x @ W + b), None
     W1, b1, W2, b2 = _unpack_mlp(model)
-    hpre = x @ W1 + b1
-    hact = np.tanh(hpre)
+    hact = x @ W1
+    hact += b1
+    np.tanh(hact, out=hact)
     return _softmax(hact @ W2 + b2), hact
 
 
 def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient over the batch, flat-packed like w."""
     n = len(y)
-    probs, hact = _forward(model, x)
-    dz = probs.copy()
+    dz, hact = _forward(model, x)  # probs, turned into dloss/dz in place
     dz[np.arange(n), y] -= 1.0
     dz /= n
     if model.arch == "logistic":
@@ -295,10 +322,32 @@ def apply_gradient_update(model: Model, g: np.ndarray, eta: float) -> Model:
     return replace(model, w=model.w - eta * g)
 
 
+def _eval_blocks(model: Model, n: int):
+    """evaluate's row blocks: _BLOCK_ROWS rows, or more for a model so
+    narrow that a block's products would fall under _MIN_BLOCK_MACS / 2."""
+    if model.arch == "logistic":
+        narrowest = model.d * model.num_classes
+    else:
+        narrowest = model.hidden * min(model.d, model.num_classes)
+    return _row_blocks(n, max(_BLOCK_ROWS, -(-_MIN_BLOCK_MACS // narrowest)))
+
+
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
-    """(mean cross-entropy, top-1 accuracy) over the full dataset."""
-    probs, _ = _forward(model, dataset.features)
-    p_true = probs[np.arange(dataset.n), dataset.labels]
+    """(mean cross-entropy, top-1 accuracy) over the full dataset.
+
+    Memory: the forward pass runs over blocks of rows, so its temporaries
+    are one block's (rows, hidden) and (rows, C) arrays, never the whole
+    dataset's; only the (n,) true-class probabilities are kept.  Loss and
+    accuracy are bit-identical to one forward pass over all rows (see
+    _MIN_BLOCK_MACS).
+    """
+    n = dataset.n
+    p_true = np.empty(n)
+    correct = 0
+    for lo, hi in _eval_blocks(model, n):
+        probs = _forward(model, dataset.features[lo:hi])[0]
+        y = dataset.labels[lo:hi]
+        p_true[lo:hi] = probs[np.arange(hi - lo), y]
+        correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
     loss = float(-np.log(np.clip(p_true, 1e-300, None)).mean())
-    acc = float((probs.argmax(axis=1) == dataset.labels).mean())
-    return loss, acc
+    return loss, correct / n

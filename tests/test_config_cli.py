@@ -93,6 +93,13 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="channel: .*c_fspl"):
             load_config({"channel": {"c_fspl": -1}})
 
+    def test_range_error_names_config_keys(self):
+        with pytest.raises(ConfigError,
+                           match="channel.d_min_km / channel.d_max_km"):
+            load_config({"channel": {"d_min_km": 3000}})
+        with pytest.raises(ConfigError, match="power.rho: require rho"):
+            load_config({"power": {"rho": -1}})
+
     def test_local_steps_must_be_positive(self):
         with pytest.raises(ConfigError, match="learner.local_steps"):
             load_config({"learner": {"local_steps": 0}})
@@ -145,6 +152,14 @@ class TestCliSimulate:
         cfg_path = fast_config(tmp_path, channel={"c_fspl": -1})
         assert cli.main(["simulate", "--config", cfg_path]) == 1
         assert "channel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_run_writes_nothing(self, tmp_path, capsys):
+        # the config loads, but build_data finds an empty shard
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path,
+                         "--run.M", "3000"]) == 1
+        assert "run.M" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):

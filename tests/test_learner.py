@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,75 @@ def train_sgd(model, ds, steps, lr, batch=64, seed=1):
     return model
 
 
+def oracle_synthetic(num_classes, n, d, separation, seed):
+    """make_synthetic as one full-size expression (two (n, d) buffers)."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(num_classes, d))
+    means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
+    labels = rng.integers(0, num_classes, size=n)
+    return means[labels] + rng.normal(size=(n, d)), labels
+
+
+def oracle_forward(model, x):
+    """The forward pass over all rows at once, nothing computed in place."""
+    if model.arch == "logistic":
+        W, b = learner._unpack_logistic(model)
+        z = x @ W + b
+        hact = None
+    else:
+        W1, b1, W2, b2 = learner._unpack_mlp(model)
+        hact = np.tanh(x @ W1 + b1)
+        z = hact @ W2 + b2
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True), hact
+
+
+def oracle_evaluate(model, dataset):
+    probs, _ = oracle_forward(model, dataset.features)
+    p_true = probs[np.arange(dataset.n), dataset.labels]
+    loss = float(-np.log(np.clip(p_true, 1e-300, None)).mean())
+    acc = float((probs.argmax(axis=1) == dataset.labels).mean())
+    return loss, acc
+
+
+def oracle_gradient(model, x, y):
+    n = len(y)
+    probs, hact = oracle_forward(model, x)
+    dz = probs.copy()
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    if model.arch == "logistic":
+        return np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
+    W1, b1, W2, b2 = learner._unpack_mlp(model)
+    dh = (dz @ W2.T) * (1.0 - hact**2)
+    return np.concatenate([(x.T @ dh).ravel(), dh.sum(axis=0),
+                           (hact.T @ dz).ravel(), dz.sum(axis=0)])
+
+
+B = learner._BLOCK_ROWS
+# Below one block, an exact multiple of it, and one row past a multiple.
+BLOCK_SIZES = [B // 3, 2 * B, 2 * B + 1, 6 * B + 1]
+
+
 class TestMakeSynthetic:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_one_shot_oracle(self, n, seed):
+        ds = learner.make_synthetic(10, n, 7, 4.0, seed)
+        features, labels = oracle_synthetic(10, n, 7, 4.0, seed)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+
+    def test_peak_memory_is_one_feature_array(self):
+        tracemalloc.start()
+        try:
+            ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * ds.features.nbytes
+
     def test_seed_determinism(self):
         a = learner.make_synthetic(5, 100, 8, 2.0, seed=3)
         b = learner.make_synthetic(5, 100, 8, 2.0, seed=3)
@@ -134,6 +203,14 @@ class TestGradient:
                 fd = (lo_plus - lo_minus) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
 
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_bit_identical_to_oracle(self, arch):
+        ds = learner.make_synthetic(10, 300, 12, 1.0, seed=6)
+        model = learner.Model.init(arch, 12, 10, hidden=16, seed=2)
+        model.w[:] = np.random.default_rng(3).normal(scale=0.3, size=model.q)
+        g = learner.gradient(model, ds.features, ds.labels)
+        assert np.array_equal(g, oracle_gradient(model, ds.features, ds.labels))
+
     def test_stationarity_in_separable_limit(self):
         # 2-point separable problem: gradient vanishes as the margin grows
         ds = learner.Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), 2)
@@ -192,7 +269,42 @@ class TestMvUpdate:
         assert np.linalg.norm(updated.w - model.w) == pytest.approx(0.02 * np.sqrt(model.q))
 
 
+# (arch, d, hidden): wide shapes run evaluate in _BLOCK_ROWS-row blocks;
+# narrow ones get taller blocks so their products stay large.
+EVAL_SHAPES = [("logistic", 120, 0), ("mlp", 120, 128),
+               ("logistic", 20, 0), ("mlp", 20, 8)]
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("arch,d,hidden", EVAL_SHAPES)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_to_one_shot_oracle(self, arch, d, hidden, n, seed):
+        ds = learner.make_synthetic(10, n, d, 1.0, seed)
+        model = learner.Model.init(arch, d, 10, hidden=hidden or 1, seed=seed)
+        model.w[:] = np.random.default_rng(seed).normal(scale=0.3, size=model.q)
+        assert learner.evaluate(model, ds) == oracle_evaluate(model, ds)
+        # Row by row too, so that a change the loss's mean hides still shows.
+        blocks = learner._eval_blocks(model, n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        probs = np.concatenate([learner._forward(model, ds.features[lo:hi])[0]
+                                for lo, hi in blocks])
+        assert np.array_equal(probs, oracle_forward(model, ds.features)[0])
+
+    def test_peak_memory_is_one_block(self):
+        ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4)
+        model = learner.Model.init("mlp", 200, 10, hidden=64, seed=0)
+        full_hidden = ds.n * model.hidden * 8  # one (n, hidden) float64 array
+        tracemalloc.start()
+        try:
+            learner.evaluate(model, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert peak < full_hidden / 3
+
     def test_chance_level_on_unstructured_data(self):
         ds = learner.make_synthetic(10, 5000, 20, 0.0, seed=5)
         model = learner.Model.init("logistic", 20, 10, seed=3)
