@@ -68,13 +68,18 @@ def sample_distance(params: ChannelParams, rng: np.random.Generator, size=None):
     """Draw link distance(s) from f_D(d) = 3 d^2 / (d_max^3 - d_min^3)."""
     u = rng.random(size)
     lo3, hi3 = params.d_min**3, params.d_max**3
-    return (lo3 + u * (hi3 - lo3)) ** (1.0 / 3.0)
+    u *= hi3 - lo3
+    u += lo3
+    u **= 1.0 / 3.0
+    return u
 
 
 def sample_pointing(params: ChannelParams, rng: np.random.Generator, size=None):
     """Draw pointing gain(s) from f_hp(h) = (xi_p^2 / a0^xi_p^2) h^(xi_p^2 - 1)."""
     u = rng.random(size)
-    return params.a0 * u ** (1.0 / params.xi_p**2)
+    u **= 1.0 / params.xi_p**2
+    u *= params.a0
+    return u
 
 
 def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelDraw:
@@ -86,11 +91,16 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelDr
 
 
 def sample_intensities(params: ChannelParams, rng: np.random.Generator, size: int):
-    """Vectorized intensity draws (h_l * h_p) for Monte Carlo use."""
-    d = sample_distance(params, rng, size)
-    h_l = params.fspl_constant / d**2
-    h_p = sample_pointing(params, rng, size)
-    return h_l * h_p
+    """Vectorized intensity draws (h_l * h_p) for Monte Carlo use.
+
+    The distance buffer becomes the intensity in place, so at most two
+    arrays of ``size`` floats are alive at once.
+    """
+    gain = sample_distance(params, rng, size)
+    np.square(gain, out=gain)
+    np.divide(params.fspl_constant, gain, out=gain)
+    gain *= sample_pointing(params, rng, size)
+    return gain
 
 
 def geometric_efficiency(params: ChannelParams) -> float:

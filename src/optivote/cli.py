@@ -174,6 +174,8 @@ def _cmd_sweep(args, extras) -> int:
 def _cmd_verify(args, extras) -> int:
     if extras:
         raise ConfigError(f"unrecognized arguments: {extras}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     reports = montecarlo.run_default_suite(samples=args.samples, seed=args.seed)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     if args.output:

@@ -141,7 +141,7 @@ class RunConfig(_Strict):
     lr: Literal["constant", "theorem1"] = "constant"
     L1_estimate: Optional[float] = None
     scheme: Literal[SCHEMES] = "optivote"
-    seed: int = 0
+    seed: int = Field(0, ge=0)
 
     @model_validator(mode="after")
     def _check(self):

@@ -5,6 +5,11 @@ empirical statistic against its closed form, and records the pass rule in
 the report so a failure is self-explaining.  Bound checks are one-sided:
 the closed forms are conservative upper bounds, so the simulator must
 never exceed them (plus 3 standard errors of slack).
+
+The flip-bound grid of ``run_default_suite`` draws each (M, q) cohort once
+and scores it at every SNR point.  The stream key never held the SNR, so
+the four SNR points of one cohort always shared their votes and
+intensities: their reports are correlated, not independent.
 """
 
 from dataclasses import asdict, dataclass
@@ -94,29 +99,84 @@ def verify_energy_means(
     return reports
 
 
+def _geometry(params: ch.ChannelParams) -> tuple:
+    return (params.d_min, params.d_max, params.a0, params.xi_p, params.fspl_constant)
+
+
 def _simulate_flips(
     M: int,
     q_i: float,
-    params: ch.ChannelParams,
+    channels: list[ch.ChannelParams],
     samples: int,
     p_avg: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Vectorized vote/transmit/detect rounds with true sign +1.
 
-    Returns (flip indicator per sample, correct-vote count per sample).
+    One cohort draw (votes and intensities) is scored under the receiver
+    noise of every channel, so the channels must share their geometry and
+    differ in ``sigma_n2`` only.  Every channel scales the same pair of
+    standard normals, drawn right after the cohort, by its own
+    sqrt(sigma_n2); ``rng.normal(0, std)`` computes ``0 + std * z``, so
+    each channel gets the bits it would get drawing from that state alone.
+    A noiseless channel scales them by zero, which adds nothing.
+
+    Returns (flip indicator per sample, for each channel; correct-vote
+    count per sample).
     """
+    if any(_geometry(p) != _geometry(channels[0]) for p in channels):
+        raise UsageError("channels scored against one cohort may differ in sigma_n2 only")
     correct = rng.random((samples, M)) >= q_i  # True -> vote +1
-    intens = ch.sample_intensities(params, rng, samples * M).reshape(samples, M)
-    amp = p_avg * intens
+    amp = ch.sample_intensities(channels[0], rng, samples * M).reshape(samples, M)
+    amp *= p_avg
     e_plus = (amp * correct).sum(axis=1)
-    e_minus = (amp * ~correct).sum(axis=1)
-    if params.sigma_n2 > 0:
-        std = np.sqrt(params.sigma_n2)
-        e_plus = e_plus + params.sigma_n2 + rng.normal(0.0, std, size=samples)
-        e_minus = e_minus + params.sigma_n2 + rng.normal(0.0, std, size=samples)
-    flips = (e_plus - e_minus) < 0.0
+    amp *= ~correct
+    e_minus = amp.sum(axis=1)
+    z_plus = rng.standard_normal(samples)
+    z_minus = rng.standard_normal(samples)
+    flips = []
+    for p in channels:
+        std = np.sqrt(p.sigma_n2)
+        delta = (e_plus + p.sigma_n2 + std * z_plus) - (e_minus + p.sigma_n2 + std * z_minus)
+        flips.append(delta < 0.0)
     return flips, correct.sum(axis=1)
+
+
+def verify_error_bounds(
+    M: int,
+    q_i: float,
+    channels: list[ch.ChannelParams],
+    samples: int,
+    p_avg: float = 1.0,
+    seed: int = 0,
+) -> list[McReport]:
+    """Empirical MV flip rate vs. the closed-form upper bound, per channel.
+
+    The channels share one cohort draw (see ``_simulate_flips``), so their
+    reports are correlated, not independent.
+    """
+    if not (0.0 < q_i < 0.5):
+        raise UsageError("q_i must lie in (0, 1/2)")
+    if samples < 10_000:
+        raise UsageError("need at least 1e4 samples")
+    rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
+    all_flips, _ = _simulate_flips(M, q_i, channels, samples, p_avg, rng)
+    reports = []
+    for params, flips in zip(channels, all_flips):
+        xi = theory.theta(p_avg, ch.lambda_eff(params)) / params.sigma_n2
+        bound = theory.error_bound(M, xi, q_i)
+        rate = float(flips.mean())
+        se = _binomial_se(rate, samples)
+        reports.append(McReport(
+            name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
+            samples=samples,
+            empirical=rate,
+            theoretical=bound,
+            standard_error=se,
+            passed=rate <= bound + 3.0 * se,
+            tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
+        ))
+    return reports
 
 
 def verify_error_bound(
@@ -128,26 +188,7 @@ def verify_error_bound(
     seed: int = 0,
 ) -> McReport:
     """Empirical MV flip rate vs. the closed-form upper bound."""
-    if not (0.0 < q_i < 0.5):
-        raise UsageError("q_i must lie in (0, 1/2)")
-    if samples < 10_000:
-        raise UsageError("need at least 1e4 samples")
-    lam = ch.lambda_eff(params)
-    xi = theory.theta(p_avg, lam) / params.sigma_n2
-    bound = theory.error_bound(M, xi, q_i)
-    rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    flips, _ = _simulate_flips(M, q_i, params, samples, p_avg, rng)
-    rate = float(flips.mean())
-    se = _binomial_se(rate, samples)
-    return McReport(
-        name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
-        samples=samples,
-        empirical=rate,
-        theoretical=bound,
-        standard_error=se,
-        passed=rate <= bound + 3.0 * se,
-        tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
-    )
+    return verify_error_bounds(M, q_i, [params], samples, p_avg, seed)[0]
 
 
 def verify_q_bound(
@@ -159,7 +200,7 @@ def verify_q_bound(
     bound = theory.q_bound(g_abs, alpha, d_b)
     rng = derive(seed, TAG_MC, 3, d_b)
     noisy = g_abs + rng.normal(0.0, alpha / np.sqrt(d_b), size=samples)
-    rate = float((noisy < 0.0).mean()) if g_abs > 0 else float((noisy < 0.0).mean())
+    rate = float((noisy < 0.0).mean())
     se = _binomial_se(rate, samples)
     return McReport(
         name=f"q_bound[g={g_abs},alpha={alpha},d_b={d_b}]",
@@ -184,7 +225,7 @@ def verify_corollary1(
     if not (0.0 <= q_i < 0.5):
         raise UsageError("q_i must be below 1/2")
     rng = derive(seed, TAG_MC, 4, M)
-    flips, n_plus = _simulate_flips(M, q_i, params, samples, p_avg, rng)
+    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, p_avg, rng)
     majority = n_plus > M / 2
     n_cond = int(majority.sum())
     if n_cond == 0:
@@ -208,18 +249,24 @@ DEFAULT_Q_GRID = (0.05, 0.2, 0.4)
 
 
 def run_default_suite(samples: int = 100_000, seed: int = 0) -> list[McReport]:
-    """Full verification sweep used by the `verify` CLI subcommand."""
+    """Full verification sweep used by the `verify` CLI subcommand.
+
+    The error-bound grid draws each (M, q) cohort once and scores it at
+    every SNR point; the reports come out SNR-major, then M, then q.
+    """
+    if samples < 10_000:
+        raise UsageError("need at least 1e4 samples")
     reports: list[McReport] = []
 
     params = unit_channel(xi_snr=1.0)
     reports += verify_energy_means(params, m_plus=5, m_minus=5,
-                                   samples=max(samples, 10_000), seed=seed)
+                                   samples=samples, seed=seed)
 
-    for xi in DEFAULT_XI_GRID:
-        p = unit_channel(xi_snr=xi)
-        for M in DEFAULT_M_GRID:
-            for q in DEFAULT_Q_GRID:
-                reports.append(verify_error_bound(M, q, p, samples, seed=seed))
+    channels = [unit_channel(xi_snr=xi) for xi in DEFAULT_XI_GRID]
+    by_cohort = [verify_error_bounds(M, q, channels, samples, seed=seed)
+                 for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]
+    for per_snr in zip(*by_cohort):
+        reports += per_snr
 
     for ratio in (0.0, 0.5, 1.0, 2.0 / np.sqrt(3.0), 2.0, 3.0):
         reports.append(

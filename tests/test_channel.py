@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -11,6 +13,17 @@ def params(**kw):
     defaults = dict(d_min=500e3, d_max=2000e3, a0=0.9, xi_p=1.5, sigma_n2=0.1)
     defaults.update(kw)
     return ch.ChannelParams(**defaults)
+
+
+def out_of_place_intensities(p, rng, size):
+    """Oracle: the intensity draw as first written, one fresh array per step."""
+    u = rng.random(size)
+    lo3, hi3 = p.d_min**3, p.d_max**3
+    d = (lo3 + u * (hi3 - lo3)) ** (1.0 / 3.0)
+    h_l = p.fspl_constant / d**2
+    u = rng.random(size)
+    h_p = p.a0 * u ** (1.0 / p.xi_p**2)
+    return h_l * h_p
 
 
 class TestValidation:
@@ -79,10 +92,43 @@ class TestSampleChannel:
             assert 0 < draw.intensity <= bound
             assert draw.intensity == pytest.approx(draw.h_l * draw.h_p)
 
+    def test_scalar_draw_matches_formula(self):
+        p = params()
+        for seed in (0, 5):
+            rng = derive(seed, 1, 2)
+            u_d, u_p = rng.random(), rng.random()
+            lo3, hi3 = p.d_min**3, p.d_max**3
+            d = (lo3 + u_d * (hi3 - lo3)) ** (1.0 / 3.0)
+            h_l = p.fspl_constant / d**2
+            h_p = p.a0 * u_p ** (1.0 / p.xi_p**2)
+            assert ch.sample_channel(p, derive(seed, 1, 2)) == ch.ChannelDraw(
+                distance=d, h_l=h_l, h_p=h_p, intensity=h_l * h_p)
+
     def test_intensity_mean_matches_lambda_eff(self, unit_params):
         intens = ch.sample_intensities(unit_params, derive(4, 10), 1_000_000)
         lam = ch.lambda_eff(unit_params)
         assert abs(intens.mean() - lam) / lam < 0.01
+
+
+class TestSampleIntensities:
+    @pytest.mark.parametrize("size", [1, 7, 100_003])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_bit_identical_to_out_of_place_formula(self, unit_params, size, seed):
+        for p in (unit_params, params(a0=0.4, xi_p=3.0)):
+            got = ch.sample_intensities(p, derive(seed, 10), size)
+            want = out_of_place_intensities(p, derive(seed, 10), size)
+            assert got.shape == (size,)
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_two_buffers(self, unit_params):
+        rng = derive(0, 10)
+        tracemalloc.start()
+        try:
+            intens = ch.sample_intensities(unit_params, rng, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * intens.nbytes
 
 
 class TestLambdaEff:

@@ -55,6 +55,10 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="train_images"):
             load_config({"learner": {"dataset": {"type": "mnist"}}})
 
+    def test_negative_seed_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="run.seed"):
+            load_config({"run": {"seed": -1}})
+
     def test_theorem1_requires_smoothness_estimate(self):
         with pytest.raises(ConfigError, match="L1_estimate"):
             load_config({"run": {"lr": "theorem1"}})
@@ -147,6 +151,18 @@ class TestCliSimulate:
         monkeypatch.setenv("OPTIVOTE_SEED", "abc")
         assert cli.main(["simulate", "--config", cfg_path]) == 1
         assert "OPTIVOTE_SEED" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path, "--run.seed", "-1"]) == 1
+        assert "run.seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        cfg_path = fast_config(tmp_path)
+        monkeypatch.setenv("OPTIVOTE_SEED", "-1")
+        assert cli.main(["simulate", "--config", cfg_path]) == 1
+        assert "run.seed" in capsys.readouterr().err
 
     def test_bad_channel_rejected_before_writing(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path, channel={"c_fspl": -1})
@@ -255,6 +271,18 @@ class TestCliVerify:
         assert code == 0
         reports = json.loads(out.read_text())
         assert all(r["passed"] for r in reports)
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "reports.json"
+        assert cli.main(["verify", "--seed", "-1", "--output", str(out)]) == 1
+        assert "error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_samples_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "reports.json"
+        assert cli.main(["verify", "--samples", "9999", "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliPartitionInspect:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,58 @@ from optivote import montecarlo as mc
 from optivote import theory
 from optivote.errors import UsageError
 from optivote.rng import TAG_MC, derive
+
+
+def single_draw_flips(M, q_i, params, samples, p_avg, rng):
+    """Oracle: one channel per cohort draw, receiver noise from rng.normal."""
+    correct = rng.random((samples, M)) >= q_i
+    intens = ch.sample_intensities(params, rng, samples * M).reshape(samples, M)
+    amp = p_avg * intens
+    e_plus = (amp * correct).sum(axis=1)
+    e_minus = (amp * ~correct).sum(axis=1)
+    if params.sigma_n2 > 0:
+        std = np.sqrt(params.sigma_n2)
+        e_plus = e_plus + params.sigma_n2 + rng.normal(0.0, std, size=samples)
+        e_minus = e_minus + params.sigma_n2 + rng.normal(0.0, std, size=samples)
+    flips = (e_plus - e_minus) < 0.0
+    return flips, correct.sum(axis=1)
+
+
+def single_draw_error_bound(M, q_i, params, samples, seed):
+    """Oracle: the error-bound report with the cohort drawn for this channel alone."""
+    xi = theory.theta(1.0, ch.lambda_eff(params)) / params.sigma_n2
+    bound = theory.error_bound(M, xi, q_i)
+    rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
+    flips, _ = single_draw_flips(M, q_i, params, samples, 1.0, rng)
+    rate = float(flips.mean())
+    se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / samples)
+    return mc.McReport(
+        name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
+        samples=samples,
+        empirical=rate,
+        theoretical=bound,
+        standard_error=se,
+        passed=rate <= bound + 3.0 * se,
+        tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
+    )
+
+
+def single_draw_corollary1(M, q_i, params, samples, seed):
+    """Oracle: the corollary-1 report from the single-channel flip simulation."""
+    flips, n_plus = single_draw_flips(M, q_i, params, samples, 1.0,
+                                      derive(seed, TAG_MC, 4, M))
+    majority = n_plus > M / 2
+    rate = float(flips[majority].mean())
+    n_cond = int(majority.sum())
+    return mc.McReport(
+        name=f"corollary1[M={M},q={q_i}]",
+        samples=n_cond,
+        empirical=rate,
+        theoretical=0.5,
+        standard_error=math.sqrt(max(rate * (1.0 - rate), 1e-12) / n_cond),
+        passed=rate < 0.5,
+        tolerance_rule="conditional flip rate < 1/2 given realized strict majority",
+    )
 
 
 class TestUnitChannel:
@@ -84,6 +137,30 @@ class TestVerifyErrorBound:
         assert a == b
 
 
+class TestVerifyErrorBounds:
+    def test_group_matches_single_channel_calls(self):
+        channels = [mc.unit_channel(xi_snr=xi) for xi in (0.5, 5.0)]
+        group = mc.verify_error_bounds(10, 0.2, channels, samples=10_000, seed=2)
+        assert group == [mc.verify_error_bound(10, 0.2, p, samples=10_000, seed=2)
+                         for p in channels]
+
+    @pytest.mark.parametrize("change", [
+        {"d_min": 400e3}, {"d_max": 2500e3}, {"a0": 0.5}, {"xi_p": 2.0},
+        {"c_fspl": 1.0},
+    ])
+    def test_group_rejects_different_geometry(self, change):
+        base = mc.unit_channel(xi_snr=1.0)
+        other = dataclasses.replace(base, **change)
+        with pytest.raises(UsageError, match="sigma_n2"):
+            mc.verify_error_bounds(10, 0.2, [base, other], samples=10_000)
+
+    def test_noiseless_corollary_matches_oracle(self):
+        noiseless = dataclasses.replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
+        got = mc.verify_corollary1(11, 0.1, noiseless, samples=20_000, seed=4)
+        assert got.to_dict() == single_draw_corollary1(
+            11, 0.1, noiseless, 20_000, 4).to_dict()
+
+
 class TestVerifyQBound:
     def test_zero_gradient(self):
         report = mc.verify_q_bound(0.0, 1.0, 1, samples=100_000, seed=0)
@@ -139,6 +216,30 @@ class TestDefaultSuite:
         )
         failures = [r for r in reports if not r.passed]
         assert not failures, failures
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_single_draw_oracle(self, seed):
+        reports = mc.run_default_suite(samples=20_000, seed=seed)
+        bounds = [r.to_dict() for r in reports if r.name.startswith("error_bound")]
+        assert bounds == [
+            single_draw_error_bound(M, q, mc.unit_channel(xi_snr=xi), 20_000, seed).to_dict()
+            for xi in mc.DEFAULT_XI_GRID
+            for M in mc.DEFAULT_M_GRID
+            for q in mc.DEFAULT_Q_GRID
+        ]
+        params = mc.unit_channel(xi_snr=1.0)
+        assert [r.to_dict() for r in reports[-2:]] == [
+            single_draw_corollary1(M, q, params, 20_000, seed).to_dict()
+            for M, q in ((11, 0.1), (101, 0.4))
+        ]
+
+    def test_rejects_too_few_samples_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew intensities before validating samples")
+
+        monkeypatch.setattr(ch, "sample_intensities", no_draws)
+        with pytest.raises(UsageError, match="1e4"):
+            mc.run_default_suite(samples=9_999)
 
     def test_report_serialization(self):
         report = mc.verify_q_bound(1.0, 1.0, 1, samples=10_000, seed=0)
