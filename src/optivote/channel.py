@@ -64,9 +64,8 @@ class ChannelDraw:
     intensity: float
 
 
-def sample_distance(params: ChannelParams, rng: np.random.Generator, size=None):
-    """Draw link distance(s) from f_D(d) = 3 d^2 / (d_max^3 - d_min^3)."""
-    u = rng.random(size)
+def _distance(params: ChannelParams, u):
+    """Inverse-CDF transform of uniform draw(s) u to link distance(s), in place."""
     lo3, hi3 = params.d_min**3, params.d_max**3
     u *= hi3 - lo3
     u += lo3
@@ -74,12 +73,30 @@ def sample_distance(params: ChannelParams, rng: np.random.Generator, size=None):
     return u
 
 
-def sample_pointing(params: ChannelParams, rng: np.random.Generator, size=None):
-    """Draw pointing gain(s) from f_hp(h) = (xi_p^2 / a0^xi_p^2) h^(xi_p^2 - 1)."""
-    u = rng.random(size)
+def _pointing(params: ChannelParams, u):
+    """Inverse-CDF transform of uniform draw(s) u to pointing gain(s), in place."""
     u **= 1.0 / params.xi_p**2
     u *= params.a0
     return u
+
+
+def _intensity(params: ChannelParams, u_distance, u_pointing):
+    """h_l * h_p from the two uniform arrays, built in ``u_distance``'s buffer."""
+    gain = _distance(params, u_distance)
+    np.square(gain, out=gain)
+    np.divide(params.fspl_constant, gain, out=gain)
+    gain *= _pointing(params, u_pointing)
+    return gain
+
+
+def sample_distance(params: ChannelParams, rng: np.random.Generator, size=None):
+    """Draw link distance(s) from f_D(d) = 3 d^2 / (d_max^3 - d_min^3)."""
+    return _distance(params, rng.random(size))
+
+
+def sample_pointing(params: ChannelParams, rng: np.random.Generator, size=None):
+    """Draw pointing gain(s) from f_hp(h) = (xi_p^2 / a0^xi_p^2) h^(xi_p^2 - 1)."""
+    return _pointing(params, rng.random(size))
 
 
 def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelDraw:
@@ -93,14 +110,11 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelDr
 def sample_intensities(params: ChannelParams, rng: np.random.Generator, size: int):
     """Vectorized intensity draws (h_l * h_p) for Monte Carlo use.
 
-    The distance buffer becomes the intensity in place, so at most two
-    arrays of ``size`` floats are alive at once.
+    ``size`` distances are drawn, then ``size`` pointing gains; the
+    distance buffer becomes the intensity in place, so at most two arrays
+    of ``size`` floats are alive at once.
     """
-    gain = sample_distance(params, rng, size)
-    np.square(gain, out=gain)
-    np.divide(params.fspl_constant, gain, out=gain)
-    gain *= sample_pointing(params, rng, size)
-    return gain
+    return _intensity(params, rng.random(size), rng.random(size))
 
 
 def geometric_efficiency(params: ChannelParams) -> float:

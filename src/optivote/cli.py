@@ -176,7 +176,8 @@ def _cmd_verify(args, extras) -> int:
         raise ConfigError(f"unrecognized arguments: {extras}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    reports = montecarlo.run_default_suite(samples=args.samples, seed=args.seed)
+    reports = montecarlo.run_default_suite(samples=args.samples, seed=args.seed,
+                                           threads=args.threads)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(payload)
@@ -206,8 +207,10 @@ def _cmd_partition_inspect(args, extras) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="optivote")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker hint; results are independent of it")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads of verify's Monte Carlo kernel "
+                             "(default: the CPU count); results do not depend on "
+                             "it, and simulate does not use it yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured training simulation")
@@ -241,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args, extras)
     except (ConfigError, UsageError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)

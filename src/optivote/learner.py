@@ -299,8 +299,8 @@ def local_gradient(
 def sign_quantize(g: np.ndarray) -> np.ndarray:
     """Per-coordinate sign over {-1, +1}; sign(0) = +1."""
     g = np.asarray(g, dtype=float)
-    if np.isnan(g).any():
-        raise NumericError("gradient contains NaN")
+    if not np.isfinite(g).all():
+        raise NumericError("gradient is not finite")
     return np.where(g >= 0.0, 1, -1).astype(np.int8)
 
 

@@ -10,8 +10,17 @@ The flip-bound grid of ``run_default_suite`` draws each (M, q) cohort once
 and scores it at every SNR point.  The stream key never held the SNR, so
 the four SNR points of one cohort always shared their votes and
 intensities: their reports are correlated, not independent.
+
+A cohort is simulated in row blocks of about ``_BLOCK_ELEMENTS`` votes
+over ``threads`` worker threads (``_cohort_sums``).  Each block reads its
+slice of the cohort's uniform draws from a generator advanced to that
+slice, so every report, and every generator state after it, is the same
+bits for any thread count.  Only per-sample (samples,) arrays and a few
+block-sized temporaries per worker are alive at once; no (samples, M)
+array is built.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -103,6 +112,75 @@ def _geometry(params: ch.ChannelParams) -> tuple:
     return (params.d_min, params.d_max, params.a0, params.xi_p, params.fspl_constant)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
+
+
+# Elements (rows * M) per block of the cohort kernel: each of a block's
+# few float64 temporaries is 1 MiB, whatever the cohort size.
+_BLOCK_ELEMENTS = 2**17
+
+
+def _generator_at(state: dict, offset: int) -> np.random.Generator:
+    """A PCG64 generator at ``state`` advanced by ``offset`` outputs: as
+    ``Generator.random`` takes one output per float64, its ``random(n)`` is
+    elements offset .. offset+n-1 of one ``random`` draw from ``state``."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator.advance(offset))
+
+
+def _cohort_sums(
+    M: int,
+    q_i: float,
+    params: ch.ChannelParams,
+    samples: int,
+    p_avg: float,
+    rng: np.random.Generator,
+    threads: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noise-free slot energies (e+, e-) and correct-vote counts per sample.
+
+    ``rng`` draws ``samples * M`` uniforms for the votes (row-major), then
+    as many distances, then as many pointing gains; each row block reads
+    its slice of the three draws and sums its M products in the same order
+    as a whole-cohort pass, so results and the final ``rng`` state do not
+    depend on ``threads`` or the block size.
+    """
+    state = rng.bit_generator.state
+    size = samples * M
+    e_plus = np.empty(samples)
+    e_minus = np.empty(samples)
+    n_plus = np.empty(samples, dtype=np.int64)
+
+    def block(lo: int, hi: int) -> None:
+        rows, start = hi - lo, lo * M
+        correct = _generator_at(state, start).random((rows, M)) >= q_i
+        amp = ch._intensity(
+            params,
+            _generator_at(state, size + start).random(rows * M),
+            _generator_at(state, 2 * size + start).random(rows * M),
+        ).reshape(rows, M)
+        amp *= p_avg
+        e_plus[lo:hi] = (amp * correct).sum(axis=1)
+        amp *= ~correct
+        e_minus[lo:hi] = amp.sum(axis=1)
+        n_plus[lo:hi] = correct.sum(axis=1)
+
+    step = max(1, _BLOCK_ELEMENTS // M)
+    blocks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda b: block(*b), blocks))
+    else:
+        for lo, hi in blocks:
+            block(lo, hi)
+    rng.bit_generator.advance(3 * size)
+    return e_plus, e_minus, n_plus
+
+
 def _simulate_flips(
     M: int,
     q_i: float,
@@ -110,6 +188,7 @@ def _simulate_flips(
     samples: int,
     p_avg: float,
     rng: np.random.Generator,
+    threads: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Vectorized vote/transmit/detect rounds with true sign +1.
 
@@ -126,12 +205,9 @@ def _simulate_flips(
     """
     if any(_geometry(p) != _geometry(channels[0]) for p in channels):
         raise UsageError("channels scored against one cohort may differ in sigma_n2 only")
-    correct = rng.random((samples, M)) >= q_i  # True -> vote +1
-    amp = ch.sample_intensities(channels[0], rng, samples * M).reshape(samples, M)
-    amp *= p_avg
-    e_plus = (amp * correct).sum(axis=1)
-    amp *= ~correct
-    e_minus = amp.sum(axis=1)
+    _check_threads(threads)
+    e_plus, e_minus, n_plus = _cohort_sums(
+        M, q_i, channels[0], samples, p_avg, rng, threads)
     z_plus = rng.standard_normal(samples)
     z_minus = rng.standard_normal(samples)
     flips = []
@@ -139,7 +215,7 @@ def _simulate_flips(
         std = np.sqrt(p.sigma_n2)
         delta = (e_plus + p.sigma_n2 + std * z_plus) - (e_minus + p.sigma_n2 + std * z_minus)
         flips.append(delta < 0.0)
-    return flips, correct.sum(axis=1)
+    return flips, n_plus
 
 
 def verify_error_bounds(
@@ -149,6 +225,7 @@ def verify_error_bounds(
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,
+    threads: int = 1,
 ) -> list[McReport]:
     """Empirical MV flip rate vs. the closed-form upper bound, per channel.
 
@@ -160,7 +237,7 @@ def verify_error_bounds(
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
     rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    all_flips, _ = _simulate_flips(M, q_i, channels, samples, p_avg, rng)
+    all_flips, _ = _simulate_flips(M, q_i, channels, samples, p_avg, rng, threads)
     reports = []
     for params, flips in zip(channels, all_flips):
         xi = theory.theta(p_avg, ch.lambda_eff(params)) / params.sigma_n2
@@ -186,9 +263,10 @@ def verify_error_bound(
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,
+    threads: int = 1,
 ) -> McReport:
     """Empirical MV flip rate vs. the closed-form upper bound."""
-    return verify_error_bounds(M, q_i, [params], samples, p_avg, seed)[0]
+    return verify_error_bounds(M, q_i, [params], samples, p_avg, seed, threads)[0]
 
 
 def verify_q_bound(
@@ -220,12 +298,13 @@ def verify_corollary1(
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,
+    threads: int = 1,
 ) -> McReport:
     """Conditional flip rate given a realized strict +1 majority must be < 1/2."""
     if not (0.0 <= q_i < 0.5):
         raise UsageError("q_i must be below 1/2")
     rng = derive(seed, TAG_MC, 4, M)
-    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, p_avg, rng)
+    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, p_avg, rng, threads)
     majority = n_plus > M / 2
     n_cond = int(majority.sum())
     if n_cond == 0:
@@ -248,14 +327,19 @@ DEFAULT_M_GRID = (4, 10, 50)
 DEFAULT_Q_GRID = (0.05, 0.2, 0.4)
 
 
-def run_default_suite(samples: int = 100_000, seed: int = 0) -> list[McReport]:
+def run_default_suite(
+    samples: int = 100_000, seed: int = 0, threads: int = 1
+) -> list[McReport]:
     """Full verification sweep used by the `verify` CLI subcommand.
 
     The error-bound grid draws each (M, q) cohort once and scores it at
     every SNR point; the reports come out SNR-major, then M, then q.
+    ``threads`` sets the workers of the cohort kernel; the reports do not
+    depend on it.
     """
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
+    _check_threads(threads)
     reports: list[McReport] = []
 
     params = unit_channel(xi_snr=1.0)
@@ -263,7 +347,7 @@ def run_default_suite(samples: int = 100_000, seed: int = 0) -> list[McReport]:
                                    samples=samples, seed=seed)
 
     channels = [unit_channel(xi_snr=xi) for xi in DEFAULT_XI_GRID]
-    by_cohort = [verify_error_bounds(M, q, channels, samples, seed=seed)
+    by_cohort = [verify_error_bounds(M, q, channels, samples, seed=seed, threads=threads)
                  for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]
     for per_snr in zip(*by_cohort):
         reports += per_snr
@@ -274,5 +358,6 @@ def run_default_suite(samples: int = 100_000, seed: int = 0) -> list[McReport]:
         )
 
     for M, q in ((11, 0.1), (101, 0.4)):
-        reports.append(verify_corollary1(M, q, params, samples, seed=seed))
+        reports.append(verify_corollary1(M, q, params, samples, seed=seed,
+                                         threads=threads))
     return reports

@@ -9,6 +9,7 @@ channel, whether they adapt power, and how they aggregate.  The downlink
 is error-free, so a single global model is stored.
 """
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -18,7 +19,7 @@ import numpy as np
 from . import channel as ch
 from . import learner, phy, power, theory
 from .config import Config, config_hash
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .rng import TAG_CHANNEL, TAG_DATA, TAG_GRADIENT, TAG_NOISE, TAG_SELECT, derive
 
 
@@ -153,8 +154,26 @@ _SCHEMES = {
 }
 
 
+# Below this effective SNR p_avg * lambda_eff / sigma_n2 an over-the-air
+# aggregate is mostly receiver noise (a vote-error rate near 1/2).
+_LOW_SNR = 1e-3
+
+
+def _require_finite(n: int, what: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise NumericError(f"round {n}: {what} is not finite")
+
+
+# Overflow and invalid-value warnings are silenced: every non-finite value
+# they would announce reaches a _require_finite check, which names the round.
+@np.errstate(over="ignore", invalid="ignore")
 def run(cfg: Config) -> RunSummary:
-    """Execute one configured training run; deterministic in (config, seed)."""
+    """Execute one configured training run; deterministic in (config, seed).
+
+    Raises ``NumericError`` naming the round when a local gradient, the
+    stepped model or the training loss is not finite.  Warns once on
+    stderr when an over-the-air scheme runs below ``_LOW_SNR``.
+    """
     t0 = time.monotonic()
     rc = cfg.run
     seed = rc.seed
@@ -164,6 +183,13 @@ def run(cfg: Config) -> RunSummary:
     pparams = cfg.power.to_params()
     if scheme.rho is not None:
         pparams = replace(pparams, rho=scheme.rho)
+    if scheme.over_air and params.sigma_n2 > 0:
+        snr = theory.theta(pparams.p_avg, ch.lambda_eff(params)) / params.sigma_n2
+        if snr < _LOW_SNR:
+            print(f"warning: effective SNR p_avg * lambda_eff / sigma_n2 = {snr:.3g} "
+                  f"is below {_LOW_SNR:g}, so the over-the-air aggregate is mostly "
+                  "receiver noise (check channel.c_fspl and channel.sigma_n2)",
+                  file=sys.stderr)
 
     train, test, shards = build_data(cfg)
     model = learner.Model.init(
@@ -191,6 +217,7 @@ def run(cfg: Config) -> RunSummary:
             )
             for node in active
         ])
+        _require_finite(n, "a local gradient", grads)
         signs = np.stack([learner.sign_quantize(g) for g in grads])
         ideal = phy.ideal_majority(signs)
 
@@ -210,6 +237,7 @@ def run(cfg: Config) -> RunSummary:
             grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
             noise_rng,
         ))
+        _require_finite(n, "the model after the step", model.w)
         mv_error_rate = 0.0
         if mv is not None:
             mv_error_rate = float(np.mean(mv != ideal))
@@ -222,6 +250,7 @@ def run(cfg: Config) -> RunSummary:
                 )
 
         train_loss, _ = learner.evaluate(model, train)
+        _require_finite(n, "the training loss", train_loss)
         _, test_acc = learner.evaluate(model, test)
         summary.metrics.append(RoundMetrics(
             round=n,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -278,11 +279,45 @@ class TestCliVerify:
         assert "error: --seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_one_before_drawing(self, tmp_path, capsys,
+                                                         monkeypatch, threads):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("ran the suite before validating --threads")
+
+        monkeypatch.setattr(cli.montecarlo, "run_default_suite", no_suite)
+        out = tmp_path / "reports.json"
+        assert cli.main(["--threads", threads, "verify", "--output", str(out)]) == 1
+        assert "error: --threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_reach_the_kernel(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(samples, seed, threads):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr(cli.montecarlo, "run_default_suite", record)
+        out = str(tmp_path / "reports.json")
+        assert cli.main(["--threads", "3", "verify", "--output", out]) == 0
+        assert cli.main(["verify", "--output", out]) == 0
+        assert seen == [3, os.cpu_count() or 1]
+
     def test_too_few_samples_exits_one(self, tmp_path, capsys):
         out = tmp_path / "reports.json"
         assert cli.main(["verify", "--samples", "9999", "--output", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCliNumericError:
+    def test_overflowing_step_exits_three_naming_round(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path, "--run.eta", "1e308",
+                         "--run.rounds", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: round ")
 
 
 class TestCliPartitionInspect:

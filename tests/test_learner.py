@@ -249,6 +249,11 @@ class TestSignQuantize:
         with pytest.raises(NumericError):
             learner.sign_quantize(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_raises(self, value):
+        with pytest.raises(NumericError, match="not finite"):
+            learner.sign_quantize(np.array([1.0, value]))
+
 
 class TestMvUpdate:
     def test_uniform_decrease(self):

@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +29,14 @@ def single_draw_flips(M, q_i, params, samples, p_avg, rng):
         e_minus = e_minus + params.sigma_n2 + rng.normal(0.0, std, size=samples)
     flips = (e_plus - e_minus) < 0.0
     return flips, correct.sum(axis=1)
+
+
+def single_draw_sums(M, q_i, params, samples, p_avg, rng):
+    """Oracle: single_draw_flips's noise-free slot energies and vote counts."""
+    correct = rng.random((samples, M)) >= q_i
+    intens = ch.sample_intensities(params, rng, samples * M).reshape(samples, M)
+    amp = p_avg * intens
+    return (amp * correct).sum(axis=1), (amp * ~correct).sum(axis=1), correct.sum(axis=1)
 
 
 def single_draw_error_bound(M, q_i, params, samples, seed):
@@ -161,6 +173,98 @@ class TestVerifyErrorBounds:
             11, 0.1, noiseless, 20_000, 4).to_dict()
 
 
+class TestCohortKernel:
+    @pytest.mark.parametrize("block_elements", [None, 4096])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [10_007, 12_345])
+    @pytest.mark.parametrize("M", [4, 11, 101])
+    def test_matches_sequential_draw(self, monkeypatch, M, samples, threads,
+                                     block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
+        params = mc.unit_channel(xi_snr=1.0)
+        rng = derive(3, TAG_MC, 2, M)
+        ref_rng = derive(3, TAG_MC, 2, M)
+        got = mc._cohort_sums(M, 0.2, params, samples, 1.5, rng, threads)
+        want = single_draw_sums(M, 0.2, params, samples, 1.5, ref_rng)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
+        # Three workers on a two-core machine, 1,001 blocks, and a switch
+        # interval short enough to interleave them inside every block: a
+        # row written twice or skipped breaks equality with one sequential draw.
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 110)
+        params = mc.unit_channel(xi_snr=1.0)
+        got = []
+        runner = threading.Thread(target=lambda: got.extend(
+            mc._cohort_sums(11, 0.3, params, 10_010, 1.0, derive(1, TAG_MC), 3)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        want = single_draw_sums(11, 0.3, params, 10_010, 1.0, derive(1, TAG_MC))
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("offset", [0, 1, 4_095, 123_457])
+    def test_generator_at_offset_is_a_slice_of_one_draw(self, offset):
+        rng = derive(5, TAG_MC, 2)
+        state = rng.bit_generator.state
+        whole = rng.random(offset + 777)
+        assert np.array_equal(mc._generator_at(state, offset).random(777),
+                              whole[offset:])
+
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
+        started = []
+
+        class Recorder(mc.ThreadPoolExecutor):
+            def __init__(self, workers):
+                started.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
+        params = mc.unit_channel(xi_snr=1.0)
+        # 10,007 x 4 is one block: no pool at all.
+        mc._cohort_sums(4, 0.2, params, 10_007, 1.0, derive(0, TAG_MC), threads=3)
+        assert started == []
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 4 * 6_000)
+        mc._cohort_sums(4, 0.2, params, 10_007, 1.0, derive(0, TAG_MC), threads=3)
+        assert started == [2]
+
+    def test_rejects_threads_below_one_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before validating threads")
+
+        monkeypatch.setattr(ch, "sample_intensities", no_draws)
+        monkeypatch.setattr(mc, "_cohort_sums", no_draws)
+        with pytest.raises(UsageError, match="threads"):
+            mc.run_default_suite(samples=10_000, threads=0)
+        params = mc.unit_channel(xi_snr=1.0)
+        with pytest.raises(UsageError, match="threads"):
+            mc.verify_corollary1(11, 0.1, params, samples=10_000, threads=-1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_corollary_peak_memory_is_a_few_blocks(self, threads):
+        # The parent's whole-cohort pass peaked at 164 MiB here: 10.1 M
+        # float64 intensities (77 MiB) plus their products.
+        params = mc.unit_channel(xi_snr=1.0)
+        tracemalloc.start()
+        try:
+            mc.verify_corollary1(101, 0.4, params, samples=100_000, seed=0,
+                                 threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mc._BLOCK_ELEMENTS * 8
+
+
 class TestVerifyQBound:
     def test_zero_gradient(self):
         report = mc.verify_q_bound(0.0, 1.0, 1, samples=100_000, seed=0)
@@ -232,6 +336,14 @@ class TestDefaultSuite:
             single_draw_corollary1(M, q, params, 20_000, seed).to_dict()
             for M, q in ((11, 0.1), (101, 0.4))
         ]
+
+    def test_report_bytes_do_not_depend_on_threads(self):
+        dumps = {
+            json.dumps([r.to_dict() for r in
+                        mc.run_default_suite(samples=20_000, seed=0, threads=t)])
+            for t in (1, 2, 3)
+        }
+        assert len(dumps) == 1
 
     def test_rejects_too_few_samples_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -1,9 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from optivote import learner, orchestrator as orch
 from optivote.config import SCHEMES, load_config
-from optivote.errors import ConfigError, UsageError
+from optivote.errors import ConfigError, NumericError, UsageError
 from optivote.rng import TAG_DATA, derive
 
 from conftest import UNIT_CFSPL
@@ -188,6 +191,55 @@ class TestRun:
         summary = orch.run(load_config(small_config(scheme="fedavg_air", rounds=5)))
         assert len(summary.metrics) == 5
         assert all(r.mv_error_rate == 0.0 for r in summary.metrics)
+
+
+class TestRoundGuards:
+    def test_non_finite_model_raises_before_evaluate(self, monkeypatch):
+        def blow_up(model, mv, eta):
+            return replace(model, w=np.full_like(model.w, np.inf))
+
+        def no_evaluate(*args):
+            raise AssertionError("evaluated a non-finite model")
+
+        monkeypatch.setattr(orch.learner, "apply_mv_update", blow_up)
+        monkeypatch.setattr(orch.learner, "evaluate", no_evaluate)
+        with pytest.raises(NumericError, match="^round 0: the model after the step"):
+            orch.run(load_config(small_config()))
+
+    def test_overflowing_step_names_round_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^round \d+: "):
+                orch.run(load_config(small_config(eta=1e308, rounds=4)))
+
+    def test_non_finite_gradient_names_round(self, monkeypatch):
+        def inf_gradient(model, *args, **kwargs):
+            return np.full(model.q, -np.inf)
+
+        monkeypatch.setattr(orch.learner, "local_gradient", inf_gradient)
+        with pytest.raises(NumericError, match="^round 0: a local gradient"):
+            orch.run(load_config(small_config()))
+
+
+class TestLowSnrWarning:
+    @staticmethod
+    def run(c_fspl, scheme):
+        cfg = small_config(rounds=2, scheme=scheme)
+        cfg["channel"]["c_fspl"] = c_fspl
+        orch.run(load_config(cfg))
+
+    @pytest.mark.parametrize("scheme", ["optivote", "fedavg_air"])
+    def test_warns_once_on_stderr(self, capsys, scheme):
+        self.run(None, scheme)  # the physical 1550 nm path loss
+        err = capsys.readouterr().err
+        assert err.count("warning: effective SNR") == 1
+        assert "channel.c_fspl" in err
+
+    @pytest.mark.parametrize("c_fspl, scheme", [(UNIT_CFSPL, "optivote"),
+                                                (None, "ideal_mv")])
+    def test_silent_when_snr_is_fine_or_unused(self, capsys, c_fspl, scheme):
+        self.run(c_fspl, scheme)
+        assert capsys.readouterr().err == ""
 
 
 class TestMetricsCsv:
