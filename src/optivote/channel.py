@@ -7,6 +7,12 @@ power law on (0, a0].  Both samplers use inverse-CDF transforms so a
 fixed seed replays bit-identically.  ``lambda_eff`` gives the exact
 ensemble mean of the gain; ``lambda_oracle`` recomputes it by adaptive
 quadrature as an independent cross-check.
+
+``sample_channel`` draws one node's intensity with Python float
+arithmetic; ``sample_intensities`` draws many with numpy arrays.  The two
+round ``**`` differently: numpy's vectorized pow differs from the scalar
+one in the last bit for about one draw in ten.  So the per-node draws of
+``orchestrator.run`` stay scalar; batching them would move ``metrics.csv``.
 """
 
 import math
@@ -54,16 +60,6 @@ class ChannelParams:
         return c_fspl_from_wavelength(self.lambda_opt)
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One block-fading realization for a node in one round."""
-
-    distance: float
-    h_l: float
-    h_p: float
-    intensity: float
-
-
 def _distance(params: ChannelParams, u):
     """Inverse-CDF transform of uniform draw(s) u to link distance(s), in place."""
     lo3, hi3 = params.d_min**3, params.d_max**3
@@ -99,12 +95,10 @@ def sample_pointing(params: ChannelParams, rng: np.random.Generator, size=None):
     return _pointing(params, rng.random(size))
 
 
-def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelDraw:
-    """One joint draw; the pair (h_l, h_p) is held fixed within a round."""
+def sample_channel(params: ChannelParams, rng: np.random.Generator) -> float:
+    """One joint draw of the intensity h_l * h_p, held fixed within a round."""
     d = float(sample_distance(params, rng))
-    h_l = params.fspl_constant / d**2
-    h_p = float(sample_pointing(params, rng))
-    return ChannelDraw(distance=d, h_l=h_l, h_p=h_p, intensity=h_l * h_p)
+    return params.fspl_constant / d**2 * float(sample_pointing(params, rng))
 
 
 def sample_intensities(params: ChannelParams, rng: np.random.Generator, size: int):

@@ -24,13 +24,6 @@ from .config import ChannelConfig, Config, load_config, parse_config, resolved_j
 from .errors import ConfigError, FormatError, NumericError, UsageError
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 def _collect_overrides(extras: list[str]) -> dict:
     """Turn leftover ``--a.b value`` pairs into a dotted-override dict."""
     overrides = {}
@@ -41,7 +34,10 @@ def _collect_overrides(extras: list[str]) -> dict:
             raise ConfigError(f"unrecognized argument {flag!r}")
         if i + 1 >= len(extras):
             raise ConfigError(f"override {flag!r} is missing a value")
-        overrides[flag[2:]] = _parse_value(extras[i + 1])
+        try:
+            overrides[flag[2:]] = json.loads(extras[i + 1])
+        except json.JSONDecodeError:
+            overrides[flag[2:]] = extras[i + 1]  # a bare string
         i += 2
     return overrides
 
@@ -56,6 +52,14 @@ def _load_run_config(args, extras) -> Config:
             raise ConfigError(
                 f"OPTIVOTE_SEED must be an integer, got {env_seed!r}") from None
     return parse_config(args.config, overrides)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_simulate(args, extras) -> int:
@@ -74,14 +78,11 @@ def _cmd_simulate(args, extras) -> int:
         "metrics": [asdict(m) for m in summary.metrics],
     }, indent=2) + "\n")
     if cfg.output.dump_power:
-        lines = ["round,node_id,p,a"]
-        lines += [f"{r},{n},{p:.17g},{a:.17g}" for r, n, p, a in summary.power_rows]
-        (out / "power.csv").write_text("\n".join(lines) + "\n")
+        (out / "power.csv").write_text(
+            orchestrator.csv_text("round,node_id,p,a", summary.power_rows))
     if cfg.output.dump_slots:
-        lines = ["round,coord,e_plus,e_minus,delta"]
-        lines += [f"{r},{c},{ep:.17g},{em:.17g},{d:.17g}"
-                  for r, c, ep, em, d in summary.slot_rows]
-        (out / "slots.csv").write_text("\n".join(lines) + "\n")
+        (out / "slots.csv").write_text(orchestrator.csv_text(
+            "round,coord,e_plus,e_minus,delta", summary.slot_rows))
     print(f"wrote {out / 'metrics.csv'} (final accuracy {summary.final_accuracy:.4f})")
     return 0
 
@@ -111,78 +112,60 @@ THEORY_OPS = {
 }
 
 
-def _add_theory_flags(p: argparse.ArgumentParser):
-    p.add_argument("--op", required=True, choices=sorted(THEORY_OPS))
-    p.add_argument("--M", type=int, default=10)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=0.2)
-    p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--d-b", dest="d_b", type=int, default=1)
-    p.add_argument("--m-plus", dest="m_plus", type=int, default=0)
-    p.add_argument("--m-minus", dest="m_minus", type=int, default=0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--sigma-n2", dest="sigma_n2", type=float, default=0.1)
-    p.add_argument("--p-avg", dest="p_avg", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--p-err", dest="p_err", type=float, default=0.0)
-    p.add_argument("--L1", type=float, default=1.0)
-    p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--sigma-l1", dest="sigma_l1", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--gamma", type=int, default=1)
-    p.add_argument("--d-min-km", dest="d_min_km", type=float, default=500.0)
-    p.add_argument("--d-max-km", dest="d_max_km", type=float, default=2000.0)
-    p.add_argument("--lambda-opt-nm", dest="lambda_opt_nm", type=float, default=1550.0)
-    p.add_argument("--a0", type=float, default=0.9)
-    p.add_argument("--xi-p", dest="xi_p", type=float, default=1.5)
-    p.add_argument("--c-fspl", dest="c_fspl", type=float, default=None)
+# theory/sweep flags: name -> (type, default).  --d-b sets d_b, and a sweep
+# axis --param d_b=1,4 converts each value with the flag's type.
+THEORY_FLAGS = {
+    "M": (int, 10), "xi": (float, 1.0), "q": (float, 0.2), "g": (float, 1.0),
+    "alpha": (float, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
+    "theta": (float, 1.0), "sigma_n2": (float, 0.1), "p_avg": (float, 1.0),
+    "lam": (float, 1.0), "p_err": (float, 0.0), "L1": (float, 1.0), "gap": (float, 1.0),
+    "sigma_l1": (float, 1.0), "N": (int, 100), "gamma": (int, 1),
+    "d_min_km": (float, 500.0), "d_max_km": (float, 2000.0), "lambda_opt_nm": (float, 1550.0),
+    "a0": (float, 0.9), "xi_p": (float, 1.5), "c_fspl": (float, None),
+}
+
+
+def _sweep_axis(spec: str) -> tuple[str, list[tuple[str, object]]]:
+    """``name=v1,v2,...`` -> (name, [(value as typed, value as the flag's type)])."""
+    name, sep, values = spec.partition("=")
+    if not sep:
+        raise ConfigError(f"--param expects name=v1,v2,... got {spec!r}")
+    if name not in THEORY_FLAGS:
+        raise ConfigError(f"--param {name}: not a theory flag; "
+                          f"choose from {', '.join(THEORY_FLAGS)}")
+    kind = THEORY_FLAGS[name][0]
+    try:
+        return name, [(text, kind(text)) for text in values.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"--param {name}: {err}") from None
 
 
 def _cmd_theory(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
-    result = THEORY_OPS[args.op](args)
-    print(json.dumps({args.op: result}))
-    return 0
+    """theory and sweep: evaluate --op at every point of the --param grid.
 
-
-def _cmd_sweep(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
-    grid: dict[str, list] = {}
-    for spec in args.param:
-        if "=" not in spec:
-            raise ConfigError(f"--param expects name=v1,v2,... got {spec!r}")
-        name, values = spec.split("=", 1)
-        grid[name] = [_parse_value(v) for v in values.split(",")]
-    names = list(grid)
-    lines = [",".join(names + [args.op])]
-    for combo in itertools.product(*grid.values()):
-        for name, value in zip(names, combo):
+    theory has no axes, so its grid is one point, printed as JSON; sweep
+    prints one CSV row per point, each axis value as typed.
+    """
+    axes = dict(_sweep_axis(spec) for spec in args.param)
+    lines = [",".join([*axes, args.op])]
+    for point in itertools.product(*axes.values()):
+        for name, (_, value) in zip(axes, point):
             setattr(args, name, value)
         result = THEORY_OPS[args.op](args)
-        lines.append(",".join(str(v) for v in combo) + f",{result}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(",".join([text for text, _ in point] + [f"{result}"]))
+    if args.command == "theory":
+        print(json.dumps({args.op: result}))
+        return 0
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_verify(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     reports = montecarlo.run_default_suite(samples=args.samples, seed=args.seed,
                                            threads=args.threads)
-    payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.output)
     failures = [r for r in reports if not r.passed]
     for r in failures:
         print(f"FAIL {r.name}: empirical={r.empirical} vs {r.theoretical} "
@@ -207,26 +190,29 @@ def _cmd_partition_inspect(args, extras) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="optivote")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=cpus,
                         help="worker threads of verify's Monte Carlo kernel "
-                             "(default: the CPU count); results do not depend on "
-                             "it, and simulate does not use it yet")
+                             "(default: the CPUs this process may use); results "
+                             "do not depend on it, and simulate does not use it yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured training simulation")
     p.add_argument("--config", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("theory", help="evaluate one closed-form expression")
-    _add_theory_flags(p)
-    p.set_defaults(fn=_cmd_theory)
-
-    p = sub.add_parser("sweep", help="evaluate a theory op over a parameter grid")
-    _add_theory_flags(p)
+    for command, summary in (("theory", "evaluate one closed-form expression"),
+                             ("sweep", "evaluate a theory op over a parameter grid")):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--op", required=True, choices=sorted(THEORY_OPS))
+        for name, (kind, default) in THEORY_FLAGS.items():
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
+        p.set_defaults(fn=_cmd_theory, param=[], output=None)
     p.add_argument("--param", action="append", default=[],
-                   help="grid axis as name=v1,v2,... (repeatable)")
+                   help="grid axis as name=v1,v2,... (repeatable); name is a "
+                        "theory flag without dashes, e.g. d_b")
     p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suite")
     p.add_argument("--samples", type=int, default=100_000)
@@ -246,6 +232,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        if extras and "config" not in args:  # only --config commands take overrides
+            raise ConfigError(f"unrecognized arguments: {extras}")
         return args.fn(args, extras)
     except (ConfigError, UsageError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,7 +22,7 @@ SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
 
 
 class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
 class _Section(_Strict):
@@ -86,10 +86,10 @@ class PowerConfig(_Section):
 class DatasetConfig(_Strict):
     type: Literal["synthetic", "mnist"] = "synthetic"
     # synthetic
-    num_classes: int = 10
-    n: int = 2000
-    n_test: int = 500
-    d: int = 20
+    num_classes: int = Field(10, ge=1)
+    n: int = Field(2000, ge=1)
+    n_test: int = Field(500, ge=1)
+    d: int = Field(20, ge=1)
     separation: float = 4.0
     # mnist (IDX paths)
     train_images: Optional[str] = None
@@ -104,25 +104,17 @@ class DatasetConfig(_Strict):
                                    "test_labels") if getattr(self, k) is None]
             if missing:
                 raise ValueError(f"learner.dataset.{missing[0]} is required for mnist")
-        if min(self.num_classes, self.n, self.d) < 1 or self.n_test < 1:
-            raise ValueError("learner.dataset sizes must be >= 1")
         return self
 
 
 class ModelConfig(_Strict):
     arch: Literal["logistic", "mlp"] = "logistic"
-    hidden: int = 32
+    hidden: int = Field(32, ge=1)
 
 
 class PartitionConfig(_Strict):
     mode: Literal["iid", "noniid"] = "iid"
-    labels_per_node: int = 2
-
-    @model_validator(mode="after")
-    def _check(self):
-        if self.labels_per_node < 1:
-            raise ValueError("learner.partition.labels_per_node must be >= 1")
-        return self
+    labels_per_node: int = Field(2, ge=1)
 
 
 class LearnerConfig(_Strict):
@@ -135,11 +127,11 @@ class LearnerConfig(_Strict):
 class RunConfig(_Strict):
     M: int = 20
     m: int = 4
-    rounds: int = 200
-    d_b: int = 64
-    eta: float = 0.05
+    rounds: int = Field(200, ge=0)
+    d_b: int = Field(64, ge=1)
+    eta: float = Field(0.05, gt=0)
     lr: Literal["constant", "theorem1"] = "constant"
-    L1_estimate: Optional[float] = None
+    L1_estimate: Optional[float] = Field(None, gt=0)
     scheme: Literal[SCHEMES] = "optivote"
     seed: int = Field(0, ge=0)
 
@@ -147,8 +139,6 @@ class RunConfig(_Strict):
     def _check(self):
         if not (1 <= self.m <= self.M):
             raise ValueError("run.m must satisfy 1 <= m <= M")
-        if self.rounds < 0 or self.d_b < 1 or self.eta <= 0:
-            raise ValueError("run.rounds >= 0, run.d_b >= 1, run.eta > 0 required")
         if self.lr == "theorem1" and self.L1_estimate is None:
             raise ValueError("run.L1_estimate is required when run.lr = 'theorem1'")
         return self

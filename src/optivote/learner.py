@@ -6,7 +6,7 @@ single parameter vector so the MV update is a plain vector step.
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -276,50 +276,39 @@ def local_gradient(
     """Mini-batch gradient for one node.
 
     Batches are drawn uniformly with replacement so batch_size may exceed
-    the node's shard.  With local_steps > 1 the node takes eta-sized local
-    SGD steps and the accumulated gradient sum is returned.
+    the node's shard.  The node takes local_steps batches, stepping a local
+    copy of the model by eta times each gradient before the next batch,
+    and returns the sum of the gradients (the plain gradient for one step).
     """
     indices = np.asarray(indices)
-    if batch_size < 1 or len(indices) == 0:
-        raise UsageError("need batch_size >= 1 and a nonempty shard")
-    if local_steps == 1:
-        batch = indices[rng.integers(0, len(indices), size=batch_size)]
-        return gradient(model, dataset.features[batch], dataset.labels[batch])
-    w_local = model.w.copy()
-    acc = np.zeros_like(w_local)
-    local = replace(model, w=w_local)
-    for _ in range(local_steps):
+    if batch_size < 1 or local_steps < 1 or len(indices) == 0:
+        raise UsageError("need batch_size >= 1, local_steps >= 1 and a nonempty shard")
+    local = model
+    for step in range(local_steps):
+        if step:
+            local = replace(local, w=local.w - eta * g)
         batch = indices[rng.integers(0, len(indices), size=batch_size)]
         g = gradient(local, dataset.features[batch], dataset.labels[batch])
-        acc += g
-        local = replace(local, w=local.w - eta * g)
-    return acc
+        total = g if step == 0 else total + g
+    return total
 
 
 def sign_quantize(g: np.ndarray) -> np.ndarray:
-    """Per-coordinate sign over {-1, +1}; sign(0) = +1."""
+    """Per-coordinate sign over {-1, +1} of a vector or matrix; sign(0) = +1."""
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise NumericError("gradient is not finite")
     return np.where(g >= 0.0, 1, -1).astype(np.int8)
 
 
-def apply_mv_update(model: Model, mv: np.ndarray, eta: float) -> Model:
-    """w <- w - eta * v, the majority-vote descent step."""
-    mv = np.asarray(mv)
+def apply_update(model: Model, direction: np.ndarray, eta: float) -> Model:
+    """w <- w - eta * v: the descent step along a vote or an aggregated gradient."""
+    direction = np.asarray(direction, dtype=float)
     if eta <= 0:
         raise UsageError("eta must be positive")
-    if mv.shape != model.w.shape:
-        raise UsageError("vote vector length must match the model")
-    return replace(model, w=model.w - eta * mv.astype(float))
-
-
-def apply_gradient_update(model: Model, g: np.ndarray, eta: float) -> Model:
-    """Plain gradient step used by the analog-aggregation baseline."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != model.w.shape:
-        raise UsageError("gradient length must match the model")
-    return replace(model, w=model.w - eta * g)
+    if direction.shape != model.w.shape:
+        raise UsageError("update direction length must match the model")
+    return replace(model, w=model.w - eta * direction)
 
 
 def _eval_blocks(model: Model, n: int):

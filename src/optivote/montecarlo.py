@@ -122,11 +122,11 @@ def _check_threads(threads: int) -> None:
 _BLOCK_ELEMENTS = 2**17
 
 
-def _generator_at(state: dict, offset: int) -> np.random.Generator:
-    """A PCG64 generator at ``state`` advanced by ``offset`` outputs: as
-    ``Generator.random`` takes one output per float64, its ``random(n)`` is
-    elements offset .. offset+n-1 of one ``random`` draw from ``state``."""
-    bit_generator = np.random.PCG64()
+def _generator_at(bit_generator: np.random.PCG64, state: dict,
+                  offset: int) -> np.random.Generator:
+    """``bit_generator`` set to ``state`` and advanced by ``offset`` outputs:
+    as ``Generator.random`` takes one output per float64, its ``random(n)``
+    is elements offset .. offset+n-1 of one ``random`` draw from ``state``."""
     bit_generator.state = state
     return np.random.Generator(bit_generator.advance(offset))
 
@@ -156,11 +156,13 @@ def _cohort_sums(
 
     def block(lo: int, hi: int) -> None:
         rows, start = hi - lo, lo * M
-        correct = _generator_at(state, start).random((rows, M)) >= q_i
+        # A fixed seed skips gathering OS entropy; _generator_at sets the state.
+        bits = np.random.PCG64(0)
+        correct = _generator_at(bits, state, start).random((rows, M)) >= q_i
         amp = ch._intensity(
             params,
-            _generator_at(state, size + start).random(rows * M),
-            _generator_at(state, 2 * size + start).random(rows * M),
+            _generator_at(bits, state, size + start).random(rows * M),
+            _generator_at(bits, state, 2 * size + start).random(rows * M),
         ).reshape(rows, M)
         amp *= p_avg
         e_plus[lo:hi] = (amp * correct).sum(axis=1)
@@ -256,6 +258,7 @@ def verify_error_bounds(
     return reports
 
 
+# Kept for perfbench: BENCHMARK.json lists its per-layer metrics.
 def verify_error_bound(
     M: int,
     q_i: float,

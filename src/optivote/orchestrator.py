@@ -11,7 +11,8 @@ is error-free, so a single global model is stored.
 
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -116,24 +117,23 @@ class _Uplink(NamedTuple):
     noise_rng: np.random.Generator | None
 
 
-# Aggregators: (model, eta, uplink) -> (stepped model, vote or None, slot
-# energies or None).  They look the layer functions up at call time, so a
-# wrapper rebound onto a module attribute (perfbench's tracer) sees the call.
-def _vote_over_air(model, eta, up: _Uplink):
+# Aggregators: uplink -> (descent direction, vote or None, slot energies
+# or None).  They look the layer functions up at call time, so a wrapper
+# rebound onto a module attribute (perfbench's tracer) sees the call.
+def _vote_over_air(up: _Uplink):
     e_plus, e_minus = phy.superpose_frame(
         up.signs, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
     mv = phy.detect_mv(e_plus, e_minus)
-    return learner.apply_mv_update(model, mv, eta), mv, (e_plus, e_minus)
+    return mv, mv, (e_plus, e_minus)
 
 
-def _vote_error_free(model, eta, up: _Uplink):
-    return learner.apply_mv_update(model, up.ideal, eta), up.ideal, None
+def _vote_error_free(up: _Uplink):
+    return up.ideal, up.ideal, None
 
 
-def _analog_over_air(model, eta, up: _Uplink):
-    agg = aggregate_fedavg_air(
-        up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
-    return learner.apply_gradient_update(model, agg, eta), None, None
+def _analog_over_air(up: _Uplink):
+    return aggregate_fedavg_air(
+        up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng), None, None
 
 
 class _Scheme(NamedTuple):
@@ -218,25 +218,25 @@ def run(cfg: Config) -> RunSummary:
             for node in active
         ])
         _require_finite(n, "a local gradient", grads)
-        signs = np.stack([learner.sign_quantize(g) for g in grads])
+        signs = learner.sign_quantize(grads)
         ideal = phy.ideal_majority(signs)
 
         if scheme.adapts_power and last_mv is not None:
-            for row, node in enumerate(active):
-                pstate.a[node] = power.consistency_score(signs[row], last_mv)
+            pstate.a[active] = power.consistency_score(signs, last_mv)
             pstate = power.update_powers(pstate, pparams, active=active)
         intensities = noise_rng = None
         if scheme.over_air:
             intensities = np.array([
-                ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node)).intensity
+                ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node))
                 for node in active
             ])
             noise_rng = derive(seed, TAG_NOISE, n)
 
-        model, mv, slots = scheme.aggregate(model, eta, _Uplink(
+        direction, mv, slots = scheme.aggregate(_Uplink(
             grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
             noise_rng,
         ))
+        model = learner.apply_update(model, direction, eta)
         _require_finite(n, "the model after the step", model.w)
         mv_error_rate = 0.0
         if mv is not None:
@@ -244,10 +244,8 @@ def run(cfg: Config) -> RunSummary:
             last_mv = mv
         if slots is not None and cfg.output.dump_slots:
             e_plus, e_minus = slots
-            for i in range(model.q):
-                summary.slot_rows.append(
-                    (n, i, e_plus[i], e_minus[i], e_plus[i] - e_minus[i])
-                )
+            summary.slot_rows += zip(repeat(n), range(model.q), e_plus, e_minus,
+                                     e_plus - e_minus)
 
         train_loss, _ = learner.evaluate(model, train)
         _require_finite(n, "the training loss", train_loss)
@@ -261,8 +259,7 @@ def run(cfg: Config) -> RunSummary:
             mean_consistency=float(pstate.a.mean()),
         ))
         if cfg.output.dump_power:
-            for node in range(rc.M):
-                summary.power_rows.append((n, node, pstate.p[node], pstate.a[node]))
+            summary.power_rows += zip(repeat(n), range(rc.M), pstate.p, pstate.a)
 
     if summary.metrics:
         summary.final_accuracy = summary.metrics[-1].test_accuracy
@@ -271,15 +268,18 @@ def run(cfg: Config) -> RunSummary:
     return summary
 
 
-METRICS_HEADER = "round,train_loss,test_accuracy,mv_error_rate,mean_power,mean_consistency"
+METRICS_HEADER = ",".join(f.name for f in fields(RoundMetrics))
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV with every value of each row tuple formatted as %.17g (an int
+    prints as itself), so floats round-trip and replays are byte-identical."""
+    line = ",".join(["%.17g"] * len(header.split(",")))
+    lines = [header]
+    lines += [line % row for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def metrics_csv(summary: RunSummary) -> str:
-    """Plot-ready CSV; formatting is fixed so replays are byte-identical."""
-    lines = [METRICS_HEADER]
-    for r in summary.metrics:
-        lines.append(
-            f"{r.round},{r.train_loss:.17g},{r.test_accuracy:.17g},"
-            f"{r.mv_error_rate:.17g},{r.mean_power:.17g},{r.mean_consistency:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    """Plot-ready per-round metrics."""
+    return csv_text(METRICS_HEADER, map(astuple, summary.metrics))

@@ -46,13 +46,14 @@ class PowerState:
         )
 
 
-def consistency_score(local_signs: np.ndarray, mv_prev: np.ndarray) -> float:
-    """Fraction of coordinates where the local sign matches the prior MV."""
+def consistency_score(local_signs: np.ndarray, mv_prev: np.ndarray) -> np.ndarray:
+    """Fraction of coordinates where a sign vector, or each row of a sign
+    matrix, matches the prior MV."""
     local_signs = np.asarray(local_signs)
     mv_prev = np.asarray(mv_prev)
-    if local_signs.shape != mv_prev.shape or local_signs.size == 0:
+    if mv_prev.ndim != 1 or local_signs.shape[-1:] != mv_prev.shape or mv_prev.size == 0:
         raise UsageError("sign vectors must be nonempty and equal length")
-    return float(np.mean(local_signs == mv_prev))
+    return np.mean(local_signs == mv_prev, axis=-1)
 
 
 def update_powers(

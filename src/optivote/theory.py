@@ -8,8 +8,6 @@ domain instead of returning sentinels.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UsageError
 
 _BRANCH_POINT = 2.0 / math.sqrt(3.0)

@@ -88,11 +88,11 @@ class TestSampleChannel:
         rng = derive(3, 10)
         bound = p.a0 * p.fspl_constant / p.d_min**2
         for _ in range(1000):
-            draw = ch.sample_channel(p, rng)
-            assert 0 < draw.intensity <= bound
-            assert draw.intensity == pytest.approx(draw.h_l * draw.h_p)
+            assert 0 < ch.sample_channel(p, rng) <= bound
 
     def test_scalar_draw_matches_formula(self):
+        # One distance, then one pointing gain, from the same stream; the
+        # intensity is h_l * h_p in Python float arithmetic, bit for bit.
         p = params()
         for seed in (0, 5):
             rng = derive(seed, 1, 2)
@@ -101,8 +101,11 @@ class TestSampleChannel:
             d = (lo3 + u_d * (hi3 - lo3)) ** (1.0 / 3.0)
             h_l = p.fspl_constant / d**2
             h_p = p.a0 * u_p ** (1.0 / p.xi_p**2)
-            assert ch.sample_channel(p, derive(seed, 1, 2)) == ch.ChannelDraw(
-                distance=d, h_l=h_l, h_p=h_p, intensity=h_l * h_p)
+            rng = derive(seed, 1, 2)
+            assert ch.sample_distance(p, rng) == d
+            assert ch.sample_pointing(p, rng) == h_p
+            intensity = ch.sample_channel(p, derive(seed, 1, 2))
+            assert type(intensity) is float and intensity == h_l * h_p
 
     def test_intensity_mean_matches_lambda_eff(self, unit_params):
         intens = ch.sample_intensities(unit_params, derive(4, 10), 1_000_000)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -197,6 +196,33 @@ class TestCliSimulate:
         slots = (tmp_path / "out" / "slots.csv").read_text().strip().split("\n")
         assert slots[0] == "round,coord,e_plus,e_minus,delta"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("run.eta", "NaN", "run.eta: Input should be a finite number"),
+        ("channel.sigma_n2", "Infinity", "channel.sigma_n2: Input should be a finite number"),
+        ("power.rho", "Infinity", "power.rho: Input should be a finite number"),
+        ("run.L1_estimate", "-1", "run.L1_estimate: Input should be greater than 0"),
+        ("learner.model.hidden", "0",
+         "learner.model.hidden: Input should be greater than or equal to 1"),
+        ("run.eta", "0", "run.eta: Input should be greater than 0"),
+        ("learner.partition.labels_per_node", "0",
+         "learner.partition.labels_per_node: Input should be greater than or equal to 1"),
+        ("learner.dataset.n_test", "0",
+         "learner.dataset.n_test: Input should be greater than or equal to 1"),
+    ])
+    def test_bad_value_exits_one_before_data_build(self, tmp_path, capsys, monkeypatch,
+                                                    key, value, message):
+        def no_data(cfg):
+            raise AssertionError("built the data before rejecting the config")
+
+        monkeypatch.setattr(cli.orchestrator, "build_data", no_data)
+        cfg_path = fast_config(tmp_path)
+        extra = {"run.L1_estimate": ["--run.lr", '"theorem1"'],
+                 "learner.model.hidden": ["--learner.model.arch", '"mlp"']}.get(key, [])
+        assert cli.main(["simulate", "--config", cfg_path, *extra,
+                         f"--{key}", value]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -264,6 +290,48 @@ class TestCliSweep:
     def test_bad_param_spec(self, capsys):
         assert cli.main(["sweep", "--op", "error_bound", "--param", "M"]) == 1
 
+    def test_csv_bytes(self, capsys):
+        assert cli.main(["sweep", "--op", "error_bound", "--param", "xi=0.5,1,2"]) == 0
+        assert capsys.readouterr().out == (
+            "xi,error_bound\n0.5,0.2857142857142857\n1,0.25\n2,0.22727272727272727\n")
+
+    def test_axis_values_print_as_typed(self, capsys):
+        assert cli.main(["sweep", "--op", "theta", "--param", "lam=1e-3,2.50",
+                         "--param", "p_avg=01"]) == 0
+        assert capsys.readouterr().out == (
+            "lam,p_avg,theta\n1e-3,01,0.001\n2.50,01,2.5\n")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("foo=1,2", "--param foo: not a theory flag"),
+        ("M=2.5", "--param M: invalid literal for int()"),
+        ("M=10,abc", "--param M: invalid literal for int()"),
+        ("xi=1,abc", "--param xi: could not convert string to float"),
+    ])
+    def test_bad_axis_exits_one_naming_it(self, capsys, spec, message):
+        assert cli.main(["sweep", "--op", "error_bound", "--param", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_theory_is_the_one_point_sweep(self, capsys):
+        flags = ["--M", "7", "--q", "0.1", "--xi", "2.5"]
+        assert cli.main(["theory", "--op", "error_bound", *flags]) == 0
+        value = json.loads(capsys.readouterr().out)["error_bound"]
+        assert cli.main(["sweep", "--op", "error_bound", *flags,
+                         "--param", "M=7"]) == 0
+        assert capsys.readouterr().out == f"M,error_bound\n7,{value}\n"
+
+    def test_flags_match_the_table(self):
+        parser = cli.build_parser()
+        for command in ("theory", "sweep"):
+            args = parser.parse_args([command, "--op", "theta"])
+            for name, (kind, default) in cli.THEORY_FLAGS.items():
+                assert getattr(args, name) == default
+            typed = parser.parse_args([command, "--op", "theta", "--d-b", "4",
+                                       "--sigma-n2", "0.5"])
+            assert (typed.d_b, typed.sigma_n2) == (4, 0.5)
+        assert len(cli.THEORY_FLAGS) == 24
+
 
 class TestCliVerify:
     def test_small_verify_passes(self, tmp_path, capsys):
@@ -299,10 +367,19 @@ class TestCliVerify:
             return []
 
         monkeypatch.setattr(cli.montecarlo, "run_default_suite", record)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                            raising=False)
         out = str(tmp_path / "reports.json")
         assert cli.main(["--threads", "3", "verify", "--output", out]) == 0
         assert cli.main(["verify", "--output", out]) == 0
-        assert seen == [3, os.cpu_count() or 1]
+        assert seen == [3, 4]  # the default: the CPUs this process may use
+
+    def test_threads_default_without_affinity_is_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+        assert cli.build_parser().parse_args(["verify"]).threads == 6
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.build_parser().parse_args(["verify"]).threads == 1
 
     def test_too_few_samples_exits_one(self, tmp_path, capsys):
         out = tmp_path / "reports.json"

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def train_sgd(model, ds, steps, lr, batch=64, seed=1):
     for _ in range(steps):
         idx = rng.integers(0, ds.n, size=batch)
         g = learner.gradient(model, ds.features[idx], ds.labels[idx])
-        model = learner.apply_gradient_update(model, g, lr)
+        model = learner.apply_update(model, g, lr)
     return model
 
 
@@ -96,7 +97,7 @@ class TestMakeSynthetic:
         model = learner.Model.init("logistic", 20, 10, seed=0)
         for _ in range(300):
             g = learner.gradient(model, ds.features, ds.labels)
-            model = learner.apply_gradient_update(model, g, 1.0)
+            model = learner.apply_update(model, g, 1.0)
         assert learner.evaluate(model, ds)[1] >= 0.99
 
     def test_centralized_sgd_reference(self):
@@ -233,6 +234,33 @@ class TestGradient:
         g = learner.local_gradient(model, ds, np.arange(5), 64, np.random.default_rng(0))
         assert np.isfinite(g).all()
 
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    @pytest.mark.parametrize("local_steps", [1, 2, 5])
+    def test_local_steps_match_reference_loop(self, arch, local_steps):
+        # Reference: local SGD written out, the sum started from zeros and
+        # the local model stepped after every batch.
+        ds = learner.make_synthetic(4, 80, 6, 2.0, seed=3)
+        model = learner.Model.init(arch, 6, 4, hidden=5, seed=4)
+        idx = np.arange(10, 70)
+        rng = np.random.default_rng(8)
+        local, want = model, np.zeros(model.q)
+        for _ in range(local_steps):
+            batch = idx[rng.integers(0, len(idx), size=16)]
+            g = learner.gradient(local, ds.features[batch], ds.labels[batch])
+            want += g
+            local = replace(local, w=local.w - 0.3 * g)
+        got = learner.local_gradient(model, ds, idx, 16, np.random.default_rng(8),
+                                     local_steps=local_steps, eta=0.3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(model.w, learner.Model.init(arch, 6, 4, hidden=5, seed=4).w)
+
+    def test_rejects_zero_local_steps(self):
+        ds = learner.make_synthetic(3, 50, 4, 2.0, seed=2)
+        model = learner.Model.init("logistic", 4, 3, seed=1)
+        with pytest.raises(UsageError, match="local_steps"):
+            learner.local_gradient(model, ds, np.arange(5), 8,
+                                   np.random.default_rng(0), local_steps=0)
+
 
 class TestSignQuantize:
     def test_zero_maps_to_plus_one(self):
@@ -258,20 +286,49 @@ class TestSignQuantize:
 class TestMvUpdate:
     def test_uniform_decrease(self):
         model = learner.Model.init("logistic", 3, 2, seed=0)
-        updated = learner.apply_mv_update(model, np.ones(model.q, dtype=int), 0.01)
+        updated = learner.apply_update(model, np.ones(model.q, dtype=int), 0.01)
         assert np.allclose(model.w - updated.w, 0.01)
 
     def test_involution(self):
         model = learner.Model.init("logistic", 3, 2, seed=0)
         v = learner.sign_quantize(np.random.default_rng(1).normal(size=model.q))
-        back = learner.apply_mv_update(learner.apply_mv_update(model, v, 0.05), -v, 0.05)
+        back = learner.apply_update(learner.apply_update(model, v, 0.05), -v, 0.05)
         assert np.allclose(back.w, model.w, atol=1e-15)
 
     def test_step_norm(self):
         model = learner.Model.init("logistic", 4, 3, seed=0)
         v = learner.sign_quantize(np.random.default_rng(2).normal(size=model.q))
-        updated = learner.apply_mv_update(model, v, 0.02)
+        updated = learner.apply_update(model, v, 0.02)
         assert np.linalg.norm(updated.w - model.w) == pytest.approx(0.02 * np.sqrt(model.q))
+
+    def test_rejects_non_positive_eta_and_wrong_length(self):
+        model = learner.Model.init("logistic", 3, 2, seed=0)
+        with pytest.raises(UsageError, match="eta"):
+            learner.apply_update(model, np.ones(model.q), 0.0)
+        with pytest.raises(UsageError, match="length"):
+            learner.apply_update(model, np.ones(model.q + 1), 0.1)
+
+
+class TestWholeCohort:
+    """The round applies these to the cohort's (m, q) matrix at once."""
+
+    def test_sign_quantize_rows(self):
+        grads = np.random.default_rng(3).normal(size=(5, 40))
+        grads[1, :7] = 0.0
+        grads[2, 3] = -0.0
+        want = np.stack([learner.sign_quantize(row) for row in grads])
+        got = learner.sign_quantize(grads)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+    def test_apply_update_rows(self):
+        # Each row, an int8 vote or a float gradient, steps the model by
+        # exactly w - eta * row, the formula of the vote and gradient steps.
+        model = learner.Model.init("mlp", 4, 3, hidden=5, seed=1)
+        rng = np.random.default_rng(4)
+        grads = rng.normal(size=(3, model.q))
+        for direction in (*learner.sign_quantize(grads), *grads):
+            got = learner.apply_update(model, direction, 0.07)
+            assert np.array_equal(got.w, model.w - 0.07 * direction.astype(float))
 
 
 # (arch, d, hidden): wide shapes run evaluate in _BLOCK_ROWS-row blocks;
@@ -321,7 +378,7 @@ class TestEvaluate:
         model = learner.Model.init("logistic", 20, 10, seed=0)
         for _ in range(500):
             g = learner.gradient(model, ds.features, ds.labels)
-            model = learner.apply_gradient_update(model, g, 2.0)
+            model = learner.apply_update(model, g, 2.0)
         loss, acc = learner.evaluate(model, ds)
         assert acc == 1.0 and loss <= 0.01
 

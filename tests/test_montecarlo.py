@@ -218,8 +218,10 @@ class TestCohortKernel:
         rng = derive(5, TAG_MC, 2)
         state = rng.bit_generator.state
         whole = rng.random(offset + 777)
-        assert np.array_equal(mc._generator_at(state, offset).random(777),
-                              whole[offset:])
+        bits = np.random.PCG64(0)
+        for _ in range(2):  # the bit generator is reused, as a block reuses it
+            assert np.array_equal(mc._generator_at(bits, state, offset).random(777),
+                                  whole[offset:])
 
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
         started = []

@@ -195,13 +195,13 @@ class TestRun:
 
 class TestRoundGuards:
     def test_non_finite_model_raises_before_evaluate(self, monkeypatch):
-        def blow_up(model, mv, eta):
+        def blow_up(model, direction, eta):
             return replace(model, w=np.full_like(model.w, np.inf))
 
         def no_evaluate(*args):
             raise AssertionError("evaluated a non-finite model")
 
-        monkeypatch.setattr(orch.learner, "apply_mv_update", blow_up)
+        monkeypatch.setattr(orch.learner, "apply_update", blow_up)
         monkeypatch.setattr(orch.learner, "evaluate", no_evaluate)
         with pytest.raises(NumericError, match="^round 0: the model after the step"):
             orch.run(load_config(small_config()))

@@ -39,6 +39,18 @@ class TestConsistencyScore:
         with pytest.raises(UsageError):
             power.consistency_score(np.array([1, 1]), np.array([1]))
 
+    def test_scores_every_row_of_a_matrix(self):
+        rng = np.random.default_rng(6)
+        signs = np.where(rng.random((7, 33)) < 0.6, 1, -1).astype(np.int8)
+        mv = np.where(rng.random(33) < 0.5, 1, -1).astype(np.int8)
+        got = power.consistency_score(signs, mv)
+        assert got.shape == (7,)
+        assert got.tolist() == [power.consistency_score(row, mv) for row in signs]
+
+    def test_matrix_width_mismatch(self):
+        with pytest.raises(UsageError):
+            power.consistency_score(np.ones((3, 4)), np.ones(5))
+
 
 class TestUpdatePowers:
     def test_equal_scores_leave_powers_unchanged(self):
