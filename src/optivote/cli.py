@@ -13,14 +13,13 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import channel as ch
 from . import montecarlo, orchestrator, theory
-from .config import ChannelConfig, Config, load_config, parse_config, resolved_json
+from .config import ChannelConfig, Config, load_config, parse_config
 from .errors import ConfigError, FormatError, NumericError, UsageError
 
 
@@ -63,27 +62,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args, extras) -> int:
-    cfg = _load_run_config(args, extras)
-    summary = orchestrator.run(cfg)
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(resolved_json(cfg) + "\n")
-    (out / "metrics.csv").write_text(orchestrator.metrics_csv(summary))
-    (out / "summary.json").write_text(json.dumps({
-        "config_hash": summary.config_hash,
-        "seed": summary.seed,
-        "rounds": len(summary.metrics),
-        "final_accuracy": summary.final_accuracy,
-        "wall_time": summary.wall_time,
-        "metrics": [asdict(m) for m in summary.metrics],
-    }, indent=2) + "\n")
-    if cfg.output.dump_power:
-        (out / "power.csv").write_text(
-            orchestrator.csv_text("round,node_id,p,a", summary.power_rows))
-    if cfg.output.dump_slots:
-        (out / "slots.csv").write_text(orchestrator.csv_text(
-            "round,coord,e_plus,e_minus,delta", summary.slot_rows))
-    print(f"wrote {out / 'metrics.csv'} (final accuracy {summary.final_accuracy:.4f})")
+    summary = orchestrator.run(_load_run_config(args, extras))
+    print(f"final accuracy {summary.final_accuracy:.4f}")
     return 0
 
 
@@ -112,16 +92,15 @@ THEORY_OPS = {
 }
 
 
-# theory/sweep flags: name -> (type, default).  --d-b sets d_b, and a sweep
-# axis --param d_b=1,4 converts each value with the flag's type.
+# theory/sweep flags: name -> (type, default), the channel's from its config
+# section.  --d-b sets d_b; a sweep axis --param d_b=1,4 takes the flag's type.
 THEORY_FLAGS = {
     "M": (int, 10), "xi": (float, 1.0), "q": (float, 0.2), "g": (float, 1.0),
     "alpha": (float, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
-    "theta": (float, 1.0), "sigma_n2": (float, 0.1), "p_avg": (float, 1.0),
-    "lam": (float, 1.0), "p_err": (float, 0.0), "L1": (float, 1.0), "gap": (float, 1.0),
+    "theta": (float, 1.0), "p_avg": (float, 1.0), "lam": (float, 1.0),
+    "p_err": (float, 0.0), "L1": (float, 1.0), "gap": (float, 1.0),
     "sigma_l1": (float, 1.0), "N": (int, 100), "gamma": (int, 1),
-    "d_min_km": (float, 500.0), "d_max_km": (float, 2000.0), "lambda_opt_nm": (float, 1550.0),
-    "a0": (float, 0.9), "xi_p": (float, 1.5), "c_fspl": (float, None),
+    **{name: (float, f.default) for name, f in ChannelConfig.model_fields.items()},
 }
 
 
@@ -144,19 +123,22 @@ def _cmd_theory(args, extras) -> int:
     """theory and sweep: evaluate --op at every point of the --param grid.
 
     theory has no axes, so its grid is one point, printed as JSON; sweep
-    prints one CSV row per point, each axis value as typed.
+    prints one CSV row per point, each axis value as typed and each element
+    of a tuple-valued op in its own column (op_0, op_1, ...).
     """
     axes = dict(_sweep_axis(spec) for spec in args.param)
-    lines = [",".join([*axes, args.op])]
+    rows = []
     for point in itertools.product(*axes.values()):
         for name, (_, value) in zip(axes, point):
             setattr(args, name, value)
         result = THEORY_OPS[args.op](args)
-        lines.append(",".join([text for text, _ in point] + [f"{result}"]))
+        values = result if isinstance(result, tuple) else (result,)
+        rows.append(",".join([text for text, _ in point] + [f"{v}" for v in values]))
     if args.command == "theory":
         print(json.dumps({args.op: result}))
         return 0
-    _emit("\n".join(lines) + "\n", args.output)
+    columns = [f"{args.op}_{i}" for i in range(len(values))] if len(values) > 1 else [args.op]
+    _emit("\n".join([",".join([*axes, *columns]), *rows]) + "\n", args.output)
     return 0
 
 

@@ -8,6 +8,7 @@ optical wavelength in nanometers; everything downstream is SI.
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 from typing import ClassVar, Literal, Optional
@@ -99,11 +100,10 @@ class DatasetConfig(_Strict):
 
     @model_validator(mode="after")
     def _check(self):
-        if self.type == "mnist":
-            missing = [k for k in ("train_images", "train_labels", "test_images",
-                                   "test_labels") if getattr(self, k) is None]
-            if missing:
-                raise ValueError(f"learner.dataset.{missing[0]} is required for mnist")
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            path = getattr(self, key)
+            if self.type == "mnist" and not os.path.isfile(path or ""):
+                raise ValueError(f"learner.dataset.{key}: mnist needs an IDX file, got {path!r}")
         return self
 
 

@@ -9,17 +9,22 @@ channel, whether they adapt power, and how they aggregate.  The downlink
 is error-free, so a single global model is stored.
 """
 
+import json
+import os
 import sys
+import tempfile
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from contextlib import ExitStack
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import repeat
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import channel as ch
 from . import learner, phy, power, theory
-from .config import Config, config_hash
+from .config import Config, config_hash, resolved_json
 from .errors import ConfigError, NumericError, UsageError
 from .rng import TAG_CHANNEL, TAG_DATA, TAG_GRADIENT, TAG_NOISE, TAG_SELECT, derive
 
@@ -36,14 +41,9 @@ class RoundMetrics:
 
 @dataclass
 class RunSummary:
-    config_hash: str = ""
-    seed: int = 0
-    metrics: list[RoundMetrics] = field(default_factory=list)
-    final_accuracy: float = 0.0
-    wall_time: float = 0.0
-    power_rows: list[tuple] = field(default_factory=list)  # (round, node, p, a)
-    slot_rows: list[tuple] = field(default_factory=list)  # (round, coord, e+, e-, delta)
-    final_w: np.ndarray | None = None
+    metrics: list[RoundMetrics]
+    final_accuracy: float
+    final_w: np.ndarray
 
 
 def select_active(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,6 +170,11 @@ def _require_finite(n: int, what: str, values) -> None:
 def run(cfg: Config) -> RunSummary:
     """Execute one configured training run; deterministic in (config, seed).
 
+    Writes every file of the run into ``output.dir``.  They are staged in a
+    temporary directory beside it, each dump row written as its round
+    finishes, and moved in only when the run has finished, so a run that
+    raises leaves neither directory behind.
+
     Raises ``NumericError`` naming the round when a local gradient, the
     stepped model or the training loss is not finite.  Warns once on
     stderr when an over-the-air scheme runs below ``_LOW_SNR``.
@@ -204,82 +209,101 @@ def run(cfg: Config) -> RunSummary:
 
     pstate = power.PowerState.initial(rc.M, pparams)
     last_mv: np.ndarray | None = None
-    summary = RunSummary(config_hash=config_hash(cfg), seed=seed)
+    metrics: list[RoundMetrics] = []
+    out = Path(cfg.output.dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out.parent, prefix=".optivote-") as tmp, \
+            ExitStack() as files:
+        staging = Path(tmp)
+        write_metrics = _csv(files, staging / "metrics.csv", METRICS_HEADER)
+        write_power = _csv(files, staging / "power.csv", "round,node_id,p,a",
+                           cfg.output.dump_power)
+        write_slots = _csv(files, staging / "slots.csv", "round,coord,e_plus,e_minus,delta",
+                           cfg.output.dump_slots)
 
-    for n in range(rc.rounds):
-        active = select_active(rc.M, rc.m, derive(seed, TAG_SELECT, n))
+        for n in range(rc.rounds):
+            active = select_active(rc.M, rc.m, derive(seed, TAG_SELECT, n))
 
-        grads = np.stack([
-            learner.local_gradient(
-                model, train, shards[node], rc.d_b,
-                derive(seed, TAG_GRADIENT, n, node),
-                local_steps=cfg.learner.local_steps, eta=eta,
-            )
-            for node in active
-        ])
-        _require_finite(n, "a local gradient", grads)
-        signs = learner.sign_quantize(grads)
-        ideal = phy.ideal_majority(signs)
-
-        if scheme.adapts_power and last_mv is not None:
-            pstate.a[active] = power.consistency_score(signs, last_mv)
-            pstate = power.update_powers(pstate, pparams, active=active)
-        intensities = noise_rng = None
-        if scheme.over_air:
-            intensities = np.array([
-                ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node))
+            grads = np.stack([
+                learner.local_gradient(
+                    model, train, shards[node], rc.d_b,
+                    derive(seed, TAG_GRADIENT, n, node),
+                    local_steps=cfg.learner.local_steps, eta=eta,
+                )
                 for node in active
             ])
-            noise_rng = derive(seed, TAG_NOISE, n)
+            _require_finite(n, "a local gradient", grads)
+            signs = learner.sign_quantize(grads)
+            ideal = phy.ideal_majority(signs)
 
-        direction, mv, slots = scheme.aggregate(_Uplink(
-            grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
-            noise_rng,
-        ))
-        model = learner.apply_update(model, direction, eta)
-        _require_finite(n, "the model after the step", model.w)
-        mv_error_rate = 0.0
-        if mv is not None:
-            mv_error_rate = float(np.mean(mv != ideal))
-            last_mv = mv
-        if slots is not None and cfg.output.dump_slots:
-            e_plus, e_minus = slots
-            summary.slot_rows += zip(repeat(n), range(model.q), e_plus, e_minus,
-                                     e_plus - e_minus)
+            if scheme.adapts_power and last_mv is not None:
+                pstate.a[active] = power.consistency_score(signs, last_mv)
+                pstate = power.update_powers(pstate, pparams, active=active)
+            intensities = noise_rng = None
+            if scheme.over_air:
+                intensities = np.array([
+                    ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node))
+                    for node in active
+                ])
+                noise_rng = derive(seed, TAG_NOISE, n)
 
-        train_loss, _ = learner.evaluate(model, train)
-        _require_finite(n, "the training loss", train_loss)
-        _, test_acc = learner.evaluate(model, test)
-        summary.metrics.append(RoundMetrics(
-            round=n,
-            train_loss=train_loss,
-            test_accuracy=test_acc,
-            mv_error_rate=mv_error_rate,
-            mean_power=float(pstate.p.mean()),
-            mean_consistency=float(pstate.a.mean()),
-        ))
-        if cfg.output.dump_power:
-            summary.power_rows += zip(repeat(n), range(rc.M), pstate.p, pstate.a)
+            direction, mv, slots = scheme.aggregate(_Uplink(
+                grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
+                noise_rng,
+            ))
+            model = learner.apply_update(model, direction, eta)
+            _require_finite(n, "the model after the step", model.w)
+            mv_error_rate = 0.0
+            if mv is not None:
+                mv_error_rate = float(np.mean(mv != ideal))
+                last_mv = mv
+            if slots is not None:
+                e_plus, e_minus = slots
+                write_slots(zip(repeat(n), range(model.q), e_plus, e_minus, e_plus - e_minus))
 
-    if summary.metrics:
-        summary.final_accuracy = summary.metrics[-1].test_accuracy
-    summary.final_w = model.w.copy()
-    summary.wall_time = time.monotonic() - t0
+            train_loss, _ = learner.evaluate(model, train)
+            _require_finite(n, "the training loss", train_loss)
+            _, test_acc = learner.evaluate(model, test)
+            metrics.append(RoundMetrics(
+                round=n,
+                train_loss=train_loss,
+                test_accuracy=test_acc,
+                mv_error_rate=mv_error_rate,
+                mean_power=float(pstate.p.mean()),
+                mean_consistency=float(pstate.a.mean()),
+            ))
+            write_metrics([astuple(metrics[-1])])
+            write_power(zip(repeat(n), range(rc.M), pstate.p, pstate.a))
+
+        files.close()
+
+        summary = RunSummary(metrics, metrics[-1].test_accuracy if metrics else 0.0,
+                             model.w.copy())
+        (staging / "resolved_config.json").write_text(resolved_json(cfg) + "\n")
+        (staging / "summary.json").write_text(json.dumps({
+            "config_hash": config_hash(cfg),
+            "seed": seed,
+            "rounds": len(summary.metrics),
+            "final_accuracy": summary.final_accuracy,
+            "wall_time": time.monotonic() - t0,
+            "metrics": [asdict(m) for m in summary.metrics],
+        }, indent=2) + "\n")
+        out.mkdir(exist_ok=True)
+        for path in staging.iterdir():
+            os.replace(path, out / path.name)
     return summary
 
 
 METRICS_HEADER = ",".join(f.name for f in fields(RoundMetrics))
 
 
-def csv_text(header: str, rows) -> str:
-    """CSV with every value of each row tuple formatted as %.17g (an int
-    prints as itself), so floats round-trip and replays are byte-identical."""
-    line = ",".join(["%.17g"] * len(header.split(",")))
-    lines = [header]
-    lines += [line % row for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def metrics_csv(summary: RunSummary) -> str:
-    """Plot-ready per-round metrics."""
-    return csv_text(METRICS_HEADER, map(astuple, summary.metrics))
+def _csv(files: ExitStack, path: Path, header: str, on: bool = True) -> Callable:
+    """Row appender for a new CSV at ``path``, closed with ``files``, or a
+    no-op that creates no file when off.  Every value prints as %.17g (an
+    int as itself), so floats round-trip and replays are byte-identical."""
+    if not on:
+        return lambda rows: None
+    f = files.enter_context(open(path, "w"))
+    f.write(header + "\n")
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return lambda rows: f.writelines(row % values for values in rows)

@@ -16,6 +16,13 @@ class FixedUniform:
         return np.full(size, self.u)
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Run each test in its own directory, so a run writing the default
+    output.dir ("out") writes it there and never into the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def fixed_uniform():
     return FixedUniform

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from optivote import cli
 from optivote.config import (
-    Config, config_hash, load_config, parse_config, resolved_json,
+    ChannelConfig, Config, config_hash, load_config, parse_config, resolved_json,
 )
 from optivote.errors import ConfigError
 
@@ -196,6 +198,39 @@ class TestCliSimulate:
         slots = (tmp_path / "out" / "slots.csv").read_text().strip().split("\n")
         assert slots[0] == "round,coord,e_plus,e_minus,delta"
 
+    def test_rerun_replaces_files(self, tmp_path):
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path,
+                         "--output.dump_power", "true"]) == 0
+        assert cli.main(["simulate", "--config", cfg_path, "--run.rounds", "1",
+                         "--output.dump_power", "true"]) == 0
+        out = tmp_path / "out"
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 1
+        assert len((out / "power.csv").read_text().splitlines()) == 1 + 6
+        assert json.loads((out / "summary.json").read_text())["rounds"] == 1
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["run"]["rounds"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+    @pytest.mark.parametrize("present, missing", [
+        (0, "train_images"), (3, "test_labels")])
+    def test_missing_idx_file_exits_one_before_data_build(self, tmp_path, capsys,
+                                                          monkeypatch, present, missing):
+        def no_load(*args):
+            raise AssertionError("read IDX data before checking every path")
+
+        monkeypatch.setattr(cli.orchestrator.learner, "load_mnist_idx", no_load)
+        keys = ["train_images", "train_labels", "test_images", "test_labels"]
+        dataset = {"type": "mnist", **{k: str(tmp_path / k) for k in keys}}
+        for key in keys[:present]:
+            (tmp_path / key).write_bytes(b"")
+        cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
+        assert cli.main(["simulate", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"learner.dataset.{missing}: mnist needs an IDX file" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("run.eta", "NaN", "run.eta: Input should be a finite number"),
         ("channel.sigma_n2", "Infinity", "channel.sigma_n2: Input should be a finite number"),
@@ -332,6 +367,23 @@ class TestCliSweep:
             assert (typed.d_b, typed.sigma_n2) == (4, 0.5)
         assert len(cli.THEORY_FLAGS) == 24
 
+    def test_channel_flag_defaults_are_the_configs(self):
+        for name, field in ChannelConfig.model_fields.items():
+            assert cli.THEORY_FLAGS[name] == (float, field.default)
+        args = cli.build_parser().parse_args(["theory", "--op", "lambda_eff"])
+        assert {k: getattr(args, k) for k in ChannelConfig.model_fields} == \
+            ChannelConfig().model_dump()
+
+    def test_tuple_op_gets_one_column_per_element(self, capsys):
+        assert cli.main(["sweep", "--op", "energy_means", "--param", "m_plus=1,2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "m_plus,energy_means_0,energy_means_1"
+        assert lines[1:] == ["1,1.1,0.1", "2,2.1,0.1"]
+        for op in sorted(cli.THEORY_OPS):
+            assert cli.main(["sweep", "--op", op, "--param", "M=4,5"]) == 0
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert rows and all(row.count(",") == header.count(",") for row in rows)
+
 
 class TestCliVerify:
     def test_small_verify_passes(self, tmp_path, capsys):
@@ -389,6 +441,23 @@ class TestCliVerify:
 
 
 class TestCliNumericError:
+    def test_failed_dumped_run_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # Round 0 finishes and writes its dump rows; round 1 fails.
+        step, steps = cli.orchestrator.learner.apply_update, []
+
+        def blow_up_second_step(model, direction, eta):
+            steps.append(eta)
+            model = step(model, direction, eta)
+            return model if len(steps) < 2 else replace(model, w=model.w * np.inf)
+
+        monkeypatch.setattr(cli.orchestrator.learner, "apply_update", blow_up_second_step)
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path, "--output.dump_power", "true",
+                         "--output.dump_slots", "true"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric error: round 1: the model after the step")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_overflowing_step_exits_three_naming_round(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)
         assert cli.main(["simulate", "--config", cfg_path, "--run.eta", "1e308",

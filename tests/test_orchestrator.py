@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,17 @@ def small_config(**run_overrides) -> dict:
                                 "num_classes": 4, "separation": 4.0}},
         "run": run,
     }
+
+
+def read_dump(name: str) -> np.ndarray:
+    """The rows of a dumped CSV in the default output.dir, as floats."""
+    return np.loadtxt(f"out/{name}", delimiter=",", skiprows=1, ndmin=2)
+
+
+def run_metrics_csv(cfg) -> str:
+    """Run ``cfg`` and return the metrics.csv it wrote."""
+    orch.run(cfg)
+    return (Path(cfg.output.dir) / "metrics.csv").read_text()
 
 
 class TestSelectActive:
@@ -107,21 +120,21 @@ class TestRun:
 
     def test_replay_is_byte_identical(self):
         cfg = load_config(small_config())
-        a = orch.metrics_csv(orch.run(cfg))
-        b = orch.metrics_csv(orch.run(cfg))
+        a = run_metrics_csv(cfg)
+        b = run_metrics_csv(cfg)
         assert a == b
 
     def test_seed_changes_trajectory(self):
-        a = orch.metrics_csv(orch.run(load_config(small_config(seed=0))))
-        b = orch.metrics_csv(orch.run(load_config(small_config(seed=1))))
+        a = run_metrics_csv(load_config(small_config(seed=0)))
+        b = run_metrics_csv(load_config(small_config(seed=1)))
         assert a != b
 
     def test_fixed_power_equals_rho_zero(self):
         base = small_config(scheme="optivote")
         base["power"] = {"rho": 0.0}
-        ref = orch.metrics_csv(orch.run(load_config(base)))
+        ref = run_metrics_csv(load_config(base))
         fixed = small_config(scheme="optivote_fixed_power")
-        got = orch.metrics_csv(orch.run(load_config(fixed)))
+        got = run_metrics_csv(load_config(fixed))
         assert got == ref
 
     def test_mv_error_free_on_homogeneous_noiseless_channel(self):
@@ -160,28 +173,46 @@ class TestRun:
         cfg_dict = small_config(rounds=30)
         cfg_dict["output"] = {"dump_power": True}
         cfg = load_config(cfg_dict)
-        summary = orch.run(cfg)
-        rows = np.array([(p, a) for _, _, p, a in summary.power_rows])
-        assert rows[:, 0].min() >= cfg.power.p_min - 1e-12
-        assert rows[:, 0].max() <= cfg.power.p_max + 1e-12
-        assert np.all((0.0 <= rows[:, 1]) & (rows[:, 1] <= 1.0))
+        orch.run(cfg)
+        rows = read_dump("power.csv")
+        assert len(rows) == 30 * cfg.run.M
+        assert rows[:, 2].min() >= cfg.power.p_min - 1e-12
+        assert rows[:, 2].max() <= cfg.power.p_max + 1e-12
+        assert np.all((0.0 <= rows[:, 3]) & (rows[:, 3] <= 1.0))
 
     def test_adaptive_power_actually_moves(self):
         cfg_dict = small_config(rounds=30)
         cfg_dict["output"] = {"dump_power": True}
-        summary = orch.run(load_config(cfg_dict))
-        powers = {p for _, _, p, _ in summary.power_rows}
-        assert len(powers) > 1
+        orch.run(load_config(cfg_dict))
+        assert len(set(read_dump("power.csv")[:, 2])) > 1
 
     def test_slot_dump_rows(self):
         cfg_dict = small_config(rounds=2)
         cfg_dict["output"] = {"dump_slots": True}
         cfg = load_config(cfg_dict)
-        summary = orch.run(cfg)
+        orch.run(cfg)
         q = learner.Model.init("logistic", 10, 4).q
-        assert len(summary.slot_rows) == 2 * q
-        for _, _, ep, em, delta in summary.slot_rows:
-            assert delta == pytest.approx(ep - em)
+        rows = read_dump("slots.csv")
+        assert len(rows) == 2 * q
+        assert rows[:, 4] == pytest.approx(rows[:, 2] - rows[:, 3])
+
+    def test_dumped_run_memory_does_not_grow_with_rounds(self):
+        # Dump rows go to disk as each round finishes: the traced peak of a
+        # run with both dumps on (q = 500 slot rows a round) stays flat from
+        # 10 to 80 rounds, where holding the rows in memory adds about 6 MB.
+        def peak(rounds):
+            cfg = small_config(rounds=rounds)
+            cfg["learner"]["dataset"]["d"] = 49  # q = (49 + 1) * 10 = 500
+            cfg["learner"]["dataset"]["num_classes"] = 10
+            cfg["output"] = {"dump_power": True, "dump_slots": True}
+            tracemalloc.start()
+            try:
+                orch.run(load_config(cfg))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(80) - peak(10) < 2**19
 
     def test_learning_happens(self):
         summary = orch.run(load_config(small_config(rounds=60)))
@@ -245,7 +276,7 @@ class TestLowSnrWarning:
 class TestMetricsCsv:
     def test_header_and_shape(self):
         summary = orch.run(load_config(small_config(rounds=3)))
-        text = orch.metrics_csv(summary)
+        text = Path("out/metrics.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == orch.METRICS_HEADER
         assert len(lines) == 4
@@ -253,7 +284,7 @@ class TestMetricsCsv:
 
     def test_roundtrip_precision(self):
         summary = orch.run(load_config(small_config(rounds=3)))
-        text = orch.metrics_csv(summary)
+        text = Path("out/metrics.csv").read_text()
         row = text.strip().split("\n")[1].split(",")
         assert float(row[1]) == summary.metrics[0].train_loss
         assert float(row[2]) == summary.metrics[0].test_accuracy
