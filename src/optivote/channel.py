@@ -8,6 +8,9 @@ fixed seed replays bit-identically.  ``lambda_eff`` gives the exact
 ensemble mean of the gain; ``lambda_oracle`` recomputes it by adaptive
 quadrature as an independent cross-check.
 
+Every function takes a ``config.ChannelConfig``, which holds the range
+checks, and reads its SI properties (``d_min``, ``d_max``, ``fspl_constant``).
+
 ``sample_channel`` draws one node's intensity with Python float
 arithmetic; ``sample_intensities`` draws many with numpy arrays.  The two
 round ``**`` differently: numpy's vectorized pow differs from the scalar
@@ -16,51 +19,18 @@ one in the last bit for about one draw in ten.  So the per-node draws of
 """
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import integrate
 
-from .errors import NumericError, UsageError
+from .errors import NumericError
+
+if TYPE_CHECKING:
+    from .config import ChannelConfig
 
 
-def c_fspl_from_wavelength(lambda_opt: float) -> float:
-    """Free-space path loss constant (lambda_opt / 4 pi)^2, lambda_opt in meters."""
-    return (lambda_opt / (4.0 * math.pi)) ** 2
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Static channel description; distances in meters."""
-
-    d_min: float
-    d_max: float
-    lambda_opt: float = 1550e-9
-    a0: float = 0.9
-    xi_p: float = 1.5
-    sigma_n2: float = 0.1
-    c_fspl: float | None = None  # override for unit-scale testing
-
-    def __post_init__(self):
-        if not (0 < self.d_min < self.d_max):
-            raise UsageError("require 0 < d_min < d_max")
-        if not (0 < self.a0 <= 1):
-            raise UsageError("require 0 < a0 <= 1")
-        if self.xi_p <= 0:
-            raise UsageError("require xi_p > 0")
-        if self.sigma_n2 < 0:
-            raise UsageError("require sigma_n2 >= 0")
-        if self.c_fspl is not None and self.c_fspl <= 0:
-            raise UsageError("require c_fspl > 0")
-
-    @property
-    def fspl_constant(self) -> float:
-        if self.c_fspl is not None:
-            return self.c_fspl
-        return c_fspl_from_wavelength(self.lambda_opt)
-
-
-def _distance(params: ChannelParams, u):
+def _distance(params: "ChannelConfig", u):
     """Inverse-CDF transform of uniform draw(s) u to link distance(s), in place."""
     lo3, hi3 = params.d_min**3, params.d_max**3
     u *= hi3 - lo3
@@ -69,14 +39,14 @@ def _distance(params: ChannelParams, u):
     return u
 
 
-def _pointing(params: ChannelParams, u):
+def _pointing(params: "ChannelConfig", u):
     """Inverse-CDF transform of uniform draw(s) u to pointing gain(s), in place."""
     u **= 1.0 / params.xi_p**2
     u *= params.a0
     return u
 
 
-def _intensity(params: ChannelParams, u_distance, u_pointing):
+def _intensity(params: "ChannelConfig", u_distance, u_pointing):
     """h_l * h_p from the two uniform arrays, built in ``u_distance``'s buffer."""
     gain = _distance(params, u_distance)
     np.square(gain, out=gain)
@@ -85,23 +55,23 @@ def _intensity(params: ChannelParams, u_distance, u_pointing):
     return gain
 
 
-def sample_distance(params: ChannelParams, rng: np.random.Generator, size=None):
+def sample_distance(params: "ChannelConfig", rng: np.random.Generator, size=None):
     """Draw link distance(s) from f_D(d) = 3 d^2 / (d_max^3 - d_min^3)."""
     return _distance(params, rng.random(size))
 
 
-def sample_pointing(params: ChannelParams, rng: np.random.Generator, size=None):
+def sample_pointing(params: "ChannelConfig", rng: np.random.Generator, size=None):
     """Draw pointing gain(s) from f_hp(h) = (xi_p^2 / a0^xi_p^2) h^(xi_p^2 - 1)."""
     return _pointing(params, rng.random(size))
 
 
-def sample_channel(params: ChannelParams, rng: np.random.Generator) -> float:
+def sample_channel(params: "ChannelConfig", rng: np.random.Generator) -> float:
     """One joint draw of the intensity h_l * h_p, held fixed within a round."""
     d = float(sample_distance(params, rng))
     return params.fspl_constant / d**2 * float(sample_pointing(params, rng))
 
 
-def sample_intensities(params: ChannelParams, rng: np.random.Generator, size: int):
+def sample_intensities(params: "ChannelConfig", rng: np.random.Generator, size: int):
     """Vectorized intensity draws (h_l * h_p) for Monte Carlo use.
 
     ``size`` distances are drawn, then ``size`` pointing gains; the
@@ -111,7 +81,7 @@ def sample_intensities(params: ChannelParams, rng: np.random.Generator, size: in
     return _intensity(params, rng.random(size), rng.random(size))
 
 
-def geometric_efficiency(params: ChannelParams) -> float:
+def geometric_efficiency(params: "ChannelConfig") -> float:
     """Mean of h_l over the spherical-shell distance distribution."""
     c = params.fspl_constant
     num = 3.0 * c * (params.d_max - params.d_min)
@@ -119,18 +89,18 @@ def geometric_efficiency(params: ChannelParams) -> float:
     return num / den
 
 
-def pointing_efficiency(params: ChannelParams) -> float:
+def pointing_efficiency(params: "ChannelConfig") -> float:
     """Mean of h_p under the zero-boresight jitter power law."""
     xi2 = params.xi_p**2
     return params.a0 * xi2 / (xi2 + 1.0)
 
 
-def lambda_eff(params: ChannelParams) -> float:
+def lambda_eff(params: "ChannelConfig") -> float:
     """Closed-form channel efficiency: E[h_l] * E[h_p]."""
     return geometric_efficiency(params) * pointing_efficiency(params)
 
 
-def lambda_oracle(params: ChannelParams) -> float:
+def lambda_oracle(params: "ChannelConfig") -> float:
     """Channel efficiency by adaptive quadrature over both densities.
 
     Independent of ``lambda_eff``; used to verify the closed form.

@@ -67,10 +67,10 @@ def _cmd_simulate(args, extras) -> int:
     return 0
 
 
-def _channel_params(a) -> ch.ChannelParams:
-    """The channel flags, validated and converted to SI as the config's are."""
+def _channel_params(a) -> ChannelConfig:
+    """The channel flags, validated as the config's channel section."""
     section = {key: getattr(a, key) for key in ChannelConfig.model_fields}
-    return load_config({"channel": section}).channel.to_params()
+    return load_config({"channel": section}).channel
 
 
 def _theory_inputs(a) -> theory.TheoryInputs:

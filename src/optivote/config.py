@@ -2,22 +2,24 @@
 
 A run is fully described by one JSON file; unknown keys are rejected and
 every applied default survives a round trip through the resolved config
-written next to the outputs.  Distances come in as kilometers and the
-optical wavelength in nanometers; everything downstream is SI.
+written next to the outputs.  Every range check lives here, once, and a
+bad value fails with its dotted key (``power.rho: Input should be greater
+than or equal to 0``).  ``ChannelConfig`` and ``PowerConfig`` are also the
+parameter types of the channel and power layers: the channel section takes
+kilometers and nanometers, and the samplers read its SI properties.
 """
 
 import hashlib
 import json
+import math
 import os
-import re
 from pathlib import Path
-from typing import ClassVar, Literal, Optional
+from typing import Literal, Optional
 
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .channel import ChannelParams
-from .errors import ConfigError, UsageError
-from .power import PowerParams
+from . import channel as ch
+from .errors import ConfigError
 
 SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
 
@@ -26,62 +28,60 @@ class _Strict(BaseModel):
     model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
-class _Section(_Strict):
-    """A section whose range checks live in the parameter dataclass it builds.
+class ChannelConfig(_Strict):
+    model_config = ConfigDict(frozen=True)
+    d_min_km: float = Field(500.0, gt=0)
+    d_max_km: float = 2000.0
+    lambda_opt_nm: float = Field(1550.0, gt=0)
+    a0: float = Field(0.9, gt=0, le=1)
+    xi_p: float = Field(1.5, gt=0)
+    sigma_n2: float = Field(0.1, ge=0)
+    c_fspl: Optional[float] = Field(None, gt=0)  # overrides the wavelength's C_FSPL
 
-    Those checks name the dataclass's SI fields (``d_min``); the error
-    names the config keys they come from (``channel.d_min_km``).
-    """
+    @property
+    def d_min(self) -> float:  # meters
+        return self.d_min_km * 1e3
 
-    _key: ClassVar[str]
+    @property
+    def d_max(self) -> float:  # meters
+        return self.d_max_km * 1e3
+
+    @property
+    def fspl_constant(self) -> float:
+        """``c_fspl``, or (lambda_opt / 4 pi)^2 with lambda_opt in meters."""
+        if self.c_fspl is not None:
+            return self.c_fspl
+        return (self.lambda_opt_nm * 1e-9 / (4.0 * math.pi)) ** 2
 
     @model_validator(mode="after")
     def _check(self):
+        if not self.d_min_km < self.d_max_km:
+            raise ValueError("channel.d_min_km / channel.d_max_km: require d_min_km < d_max_km")
         try:
-            self.to_params()
-        except UsageError as err:
-            named = set(re.findall(r"\w+", str(err)))
-            keys = [f"{self._key}.{k}" for k in type(self).model_fields
-                    if k.removesuffix("_km").removesuffix("_nm") in named]
-            raise ValueError(f"{' / '.join(keys) or self._key}: {err}") from err
+            lam = ch.lambda_eff(self)
+        except ArithmeticError:  # a power overflowed or the shell volume underflowed
+            lam = math.nan
+        if not 0 < lam < math.inf:
+            fspl = "channel.lambda_opt_nm" if self.c_fspl is None else "channel.c_fspl"
+            raise ValueError(f"channel.d_min_km / channel.d_max_km / channel.a0 / channel.xi_p"
+                             f" / {fspl}: lambda_eff = {lam} is not a positive finite number")
         return self
 
 
-class ChannelConfig(_Section):
-    _key = "channel"
-    d_min_km: float = 500.0
-    d_max_km: float = 2000.0
-    lambda_opt_nm: float = 1550.0
-    a0: float = 0.9
-    xi_p: float = 1.5
-    sigma_n2: float = 0.1
-    c_fspl: Optional[float] = None
-
-    def to_params(self) -> ChannelParams:
-        return ChannelParams(
-            d_min=self.d_min_km * 1e3,
-            d_max=self.d_max_km * 1e3,
-            lambda_opt=self.lambda_opt_nm * 1e-9,
-            a0=self.a0,
-            xi_p=self.xi_p,
-            sigma_n2=self.sigma_n2,
-            c_fspl=self.c_fspl,
-        )
-
-
-class PowerConfig(_Section):
-    _key = "power"
+class PowerConfig(_Strict):
+    model_config = ConfigDict(frozen=True)
     p_avg: float = 1.0
-    p_min: float = 0.1
+    p_min: float = Field(0.1, gt=0)
     p_max: float = 2.0
-    rho: float = 0.05
+    rho: float = Field(0.05, ge=0)
     abar_scope: Literal["all", "active"] = "all"
 
-    def to_params(self) -> PowerParams:
-        return PowerParams(
-            p_avg=self.p_avg, p_min=self.p_min, p_max=self.p_max,
-            rho=self.rho, abar_scope=self.abar_scope,
-        )
+    @model_validator(mode="after")
+    def _check(self):
+        if not self.p_min <= self.p_avg <= self.p_max:
+            raise ValueError("power.p_min / power.p_avg / power.p_max: "
+                             "require p_min <= p_avg <= p_max")
+        return self
 
 
 class DatasetConfig(_Strict):
@@ -159,11 +159,10 @@ class Config(_Strict):
 
 
 def _format_validation_error(err: ValidationError) -> str:
-    parts = []
-    for e in err.errors():
-        loc = ".".join(str(p) for p in e["loc"] if p != "_check")
-        parts.append(f"{loc or '<root>'}: {e['msg']}")
-    return "; ".join(parts)
+    # A cross-field rule raises a ValueError whose message names its keys.
+    return "; ".join(str(e["ctx"]["error"]) if e["type"] == "value_error"
+                     else f"{'.'.join(map(str, e['loc'])) or '<root>'}: {e['msg']}"
+                     for e in err.errors())
 
 
 def load_config(data: dict, overrides: dict | None = None) -> Config:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import channel as ch
 from . import theory
+from .config import ChannelConfig
 from .errors import UsageError
 from .rng import TAG_MC, derive
 
@@ -56,19 +57,18 @@ def _binomial_se(rate: float, samples: int) -> float:
     return float(np.sqrt(max(rate * (1.0 - rate), 1e-12) / samples))
 
 
-def unit_channel(xi_snr: float, a0: float = 0.9, xi_p: float = 1.5) -> ch.ChannelParams:
-    """Channel with geometric efficiency normalized to 1 and sigma_n2 set
-    so the effective SNR theta / sigma_n2 (at p_avg = 1) equals xi_snr."""
-    d_min, d_max = 500e3, 2000e3
-    c_fspl = (d_max**3 - d_min**3) / (3.0 * (d_max - d_min))
-    lam = ch.lambda_eff(ch.ChannelParams(d_min, d_max, a0=a0, xi_p=xi_p, c_fspl=c_fspl))
-    return ch.ChannelParams(
-        d_min, d_max, a0=a0, xi_p=xi_p, sigma_n2=lam / xi_snr, c_fspl=c_fspl
-    )
+def unit_channel(xi_snr: float) -> ChannelConfig:
+    """The default channel with geometric efficiency normalized to 1 and
+    sigma_n2 set so the effective SNR theta / sigma_n2 (at p_avg = 1) equals
+    xi_snr."""
+    shell = ChannelConfig()
+    c_fspl = (shell.d_max**3 - shell.d_min**3) / (3.0 * (shell.d_max - shell.d_min))
+    lam = ch.lambda_eff(ChannelConfig(c_fspl=c_fspl))
+    return ChannelConfig(c_fspl=c_fspl, sigma_n2=lam / xi_snr)
 
 
 def verify_energy_means(
-    params: ch.ChannelParams,
+    params: ChannelConfig,
     m_plus: int,
     m_minus: int,
     samples: int,
@@ -108,7 +108,7 @@ def verify_energy_means(
     return reports
 
 
-def _geometry(params: ch.ChannelParams) -> tuple:
+def _geometry(params: ChannelConfig) -> tuple:
     return (params.d_min, params.d_max, params.a0, params.xi_p, params.fspl_constant)
 
 
@@ -134,7 +134,7 @@ def _generator_at(bit_generator: np.random.PCG64, state: dict,
 def _cohort_sums(
     M: int,
     q_i: float,
-    params: ch.ChannelParams,
+    params: ChannelConfig,
     samples: int,
     p_avg: float,
     rng: np.random.Generator,
@@ -186,7 +186,7 @@ def _cohort_sums(
 def _simulate_flips(
     M: int,
     q_i: float,
-    channels: list[ch.ChannelParams],
+    channels: list[ChannelConfig],
     samples: int,
     p_avg: float,
     rng: np.random.Generator,
@@ -223,7 +223,7 @@ def _simulate_flips(
 def verify_error_bounds(
     M: int,
     q_i: float,
-    channels: list[ch.ChannelParams],
+    channels: list[ChannelConfig],
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,
@@ -262,7 +262,7 @@ def verify_error_bounds(
 def verify_error_bound(
     M: int,
     q_i: float,
-    params: ch.ChannelParams,
+    params: ChannelConfig,
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,
@@ -297,7 +297,7 @@ def verify_q_bound(
 def verify_corollary1(
     M: int,
     q_i: float,
-    params: ch.ChannelParams,
+    params: ChannelConfig,
     samples: int,
     p_avg: float = 1.0,
     seed: int = 0,

@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -184,10 +184,10 @@ def run(cfg: Config) -> RunSummary:
     seed = rc.seed
     scheme = _SCHEMES[rc.scheme]
 
-    params = cfg.channel.to_params()
-    pparams = cfg.power.to_params()
+    params = cfg.channel
+    pparams = cfg.power
     if scheme.rho is not None:
-        pparams = replace(pparams, rho=scheme.rho)
+        pparams = pparams.model_copy(update={"rho": scheme.rho})
     if scheme.over_air and params.sigma_n2 > 0:
         snr = theory.theta(pparams.p_avg, ch.lambda_eff(params)) / params.sigma_n2
         if snr < _LOW_SNR:
@@ -289,6 +289,8 @@ def run(cfg: Config) -> RunSummary:
             "metrics": [asdict(m) for m in summary.metrics],
         }, indent=2) + "\n")
         out.mkdir(exist_ok=True)
+        for name in ("power.csv", "slots.csv"):  # an earlier run's dumps
+            (out / name).unlink(missing_ok=True)
         for path in staging.iterdir():
             os.replace(path, out / path.name)
     return summary

@@ -3,31 +3,19 @@
 Each node scores how often its local gradient signs agreed with the
 previously broadcast majority vote; powers then move by rho times the
 score's deviation from the population mean and are projected back onto
-[p_min, p_max].  The recursion never reads channel state.
+[p_min, p_max].  The recursion never reads channel state; its parameters
+are a ``config.PowerConfig``, which holds their range checks.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UsageError
 
-
-@dataclass(frozen=True)
-class PowerParams:
-    p_avg: float = 1.0
-    p_min: float = 0.1
-    p_max: float = 2.0
-    rho: float = 0.05
-    abar_scope: str = "all"  # "all" | "active"
-
-    def __post_init__(self):
-        if not (0 < self.p_min <= self.p_avg <= self.p_max):
-            raise UsageError("require 0 < p_min <= p_avg <= p_max")
-        if self.rho < 0:
-            raise UsageError("require rho >= 0")
-        if self.abar_scope not in ("all", "active"):
-            raise UsageError("abar_scope must be 'all' or 'active'")
+if TYPE_CHECKING:
+    from .config import PowerConfig
 
 
 @dataclass
@@ -38,7 +26,7 @@ class PowerState:
     a: np.ndarray
 
     @classmethod
-    def initial(cls, num_nodes: int, params: PowerParams) -> "PowerState":
+    def initial(cls, num_nodes: int, params: "PowerConfig") -> "PowerState":
         # p starts at p_avg; scores start neutral at 0.5.
         return cls(
             p=np.full(num_nodes, params.p_avg, dtype=float),
@@ -57,7 +45,7 @@ def consistency_score(local_signs: np.ndarray, mv_prev: np.ndarray) -> np.ndarra
 
 
 def update_powers(
-    state: PowerState, params: PowerParams, active: np.ndarray | None = None
+    state: PowerState, params: "PowerConfig", active: np.ndarray | None = None
 ) -> PowerState:
     """One projected recursion step over all M nodes.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optivote.channel import ChannelParams
+from optivote.config import ChannelConfig
 
 
 class FixedUniform:
@@ -35,5 +35,5 @@ UNIT_CFSPL = (2000e3**3 - 500e3**3) / (3.0 * (2000e3 - 500e3))
 
 @pytest.fixture
 def unit_params():
-    return ChannelParams(d_min=500e3, d_max=2000e3, a0=0.9, xi_p=1.5,
+    return ChannelConfig(d_min_km=500.0, d_max_km=2000.0, a0=0.9, xi_p=1.5,
                          sigma_n2=0.1, c_fspl=UNIT_CFSPL)

@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from optivote import channel as ch
 from optivote import cli, learner, montecarlo as mc, orchestrator as orch, phy, power, theory
-from optivote.config import load_config
+from optivote.config import ChannelConfig, PowerConfig, load_config
 from optivote.rng import derive
 
 from conftest import UNIT_CFSPL
@@ -26,11 +26,11 @@ def report(num: int, desc: str, passed: bool, detail: str = ""):
     assert passed, f"criterion {num} failed: {detail}"
 
 
-def default_channel(**kw) -> ch.ChannelParams:
-    base = dict(d_min=500e3, d_max=2000e3, a0=0.9, xi_p=1.5,
+def default_channel(**kw) -> ChannelConfig:
+    base = dict(d_min_km=500.0, d_max_km=2000.0, a0=0.9, xi_p=1.5,
                 sigma_n2=0.1, c_fspl=UNIT_CFSPL)
     base.update(kw)
-    return ch.ChannelParams(**base)
+    return ChannelConfig(**base)
 
 
 def test_criterion_01_slot_energy_moments():
@@ -56,10 +56,10 @@ def test_criterion_02_lambda_closed_form():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
-        d_min = float(rng.uniform(100e3, 1500e3))
-        params = ch.ChannelParams(
-            d_min=d_min,
-            d_max=d_min * float(rng.uniform(1.2, 8.0)),
+        d_min_km = float(rng.uniform(100.0, 1500.0))
+        params = ChannelConfig(
+            d_min_km=d_min_km,
+            d_max_km=d_min_km * float(rng.uniform(1.2, 8.0)),
             a0=float(rng.uniform(0.1, 1.0)),
             xi_p=float(rng.uniform(0.3, 6.0)),
             sigma_n2=0.1,
@@ -194,7 +194,7 @@ def test_criterion_08_power_control_invariants():
     """Powers stay inside [p_min, p_max] throughout a run, pre-projection
     updates are budget-neutral to 1e-9 each round, and a zero step size
     reproduces the fixed-power scheme bit-for-bit."""
-    params = power.PowerParams(p_avg=1.0, p_min=0.1, p_max=2.0, rho=0.05)
+    params = PowerConfig(p_avg=1.0, p_min=0.1, p_max=2.0, rho=0.05)
     rng = np.random.default_rng(8)
     state = power.PowerState.initial(20, params)
     neutral = True

@@ -2,17 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from pydantic import ValidationError
 from scipy import integrate
 
 from optivote import channel as ch
-from optivote.errors import UsageError
+from optivote.config import ChannelConfig
 from optivote.rng import derive
 
 
 def params(**kw):
-    defaults = dict(d_min=500e3, d_max=2000e3, a0=0.9, xi_p=1.5, sigma_n2=0.1)
+    defaults = dict(d_min_km=500.0, d_max_km=2000.0, a0=0.9, xi_p=1.5, sigma_n2=0.1)
     defaults.update(kw)
-    return ch.ChannelParams(**defaults)
+    return ChannelConfig(**defaults)
 
 
 def out_of_place_intensities(p, rng, size):
@@ -28,15 +29,15 @@ def out_of_place_intensities(p, rng, size):
 
 class TestValidation:
     def test_rejects_bad_distances(self):
-        with pytest.raises(UsageError):
-            ch.ChannelParams(d_min=2000e3, d_max=500e3)
+        with pytest.raises(ValidationError):
+            ChannelConfig(d_min_km=2000.0, d_max_km=500.0)
 
     def test_rejects_bad_a0(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             params(a0=1.5)
 
     def test_rejects_bad_xi_p(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             params(xi_p=0.0)
 
 
@@ -136,10 +137,10 @@ class TestSampleIntensities:
 
 class TestLambdaEff:
     def test_point_mass_no_jitter_limit(self):
-        d = 1000e3
-        p = ch.ChannelParams(d_min=d, d_max=d * (1 + 1e-9), a0=1.0, xi_p=1e6,
-                             sigma_n2=0.0, c_fspl=1.0)
-        assert ch.lambda_eff(p) == pytest.approx(1.0 / d**2, rel=1e-6)
+        d_km = 1000.0
+        p = ChannelConfig(d_min_km=d_km, d_max_km=d_km * (1 + 1e-9), a0=1.0, xi_p=1e6,
+                          sigma_n2=0.0, c_fspl=1.0)
+        assert ch.lambda_eff(p) == pytest.approx(1.0 / (d_km * 1e3)**2, rel=1e-6)
 
     def test_linear_in_a0(self):
         lo, hi = params(a0=0.4), params(a0=0.8)
@@ -154,10 +155,10 @@ class TestLambdaOracle:
     def test_agrees_on_randomized_grid(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            d_min = rng.uniform(100e3, 1000e3)
-            p = ch.ChannelParams(
-                d_min=d_min,
-                d_max=d_min * rng.uniform(1.5, 6.0),
+            d_min_km = rng.uniform(100.0, 1000.0)
+            p = ChannelConfig(
+                d_min_km=d_min_km,
+                d_max_km=d_min_km * rng.uniform(1.5, 6.0),
                 a0=rng.uniform(0.2, 1.0),
                 xi_p=rng.uniform(0.5, 5.0),
                 sigma_n2=0.1,

@@ -96,14 +96,15 @@ class TestConfigSchema:
             parse_config(path)
 
     def test_channel_range_checked_at_load(self):
-        with pytest.raises(ConfigError, match="channel: .*c_fspl"):
+        with pytest.raises(ConfigError, match="channel.c_fspl: Input should be greater than 0"):
             load_config({"channel": {"c_fspl": -1}})
 
     def test_range_error_names_config_keys(self):
         with pytest.raises(ConfigError,
                            match="channel.d_min_km / channel.d_max_km"):
             load_config({"channel": {"d_min_km": 3000}})
-        with pytest.raises(ConfigError, match="power.rho: require rho"):
+        with pytest.raises(ConfigError,
+                           match="power.rho: Input should be greater than or equal to 0"):
             load_config({"power": {"rho": -1}})
 
     def test_local_steps_must_be_positive(self):
@@ -115,10 +116,10 @@ class TestConfigSchema:
             load_config({"run": {"frame_capacity": 8}})
 
     def test_channel_unit_conversion(self):
-        params = load_config({}).channel.to_params()
+        params = load_config({}).channel
         assert params.d_min == 500e3
         assert params.d_max == 2000e3
-        assert params.lambda_opt == pytest.approx(1550e-9)
+        assert params.fspl_constant == pytest.approx((1550e-9 / (4 * math.pi))**2)
 
 
 class TestCliSimulate:
@@ -258,6 +259,45 @@ class TestCliSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("channel.d_min_km", "0", "channel.d_min_km: Input should be greater than 0"),
+        ("channel.d_max_km", "100", "channel.d_min_km / channel.d_max_km: require"),
+        ("channel.lambda_opt_nm", "0", "channel.lambda_opt_nm: Input should be greater than 0"),
+        ("channel.a0", "0", "channel.a0: Input should be greater than 0"),
+        ("channel.a0", "1.5", "channel.a0: Input should be less than or equal to 1"),
+        ("channel.xi_p", "0", "channel.xi_p: Input should be greater than 0"),
+        ("channel.sigma_n2", "-0.1",
+         "channel.sigma_n2: Input should be greater than or equal to 0"),
+        ("channel.c_fspl", "-1", "channel.c_fspl: Input should be greater than 0"),
+        ("channel.d_max_km", "1e200", "channel.d_min_km / channel.d_max_km / channel.a0"),
+        ("channel.xi_p", "1e-200", "channel.d_min_km / channel.d_max_km / channel.a0"),
+        ("power.p_min", "0", "power.p_min: Input should be greater than 0"),
+        ("power.p_avg", "5", "power.p_min / power.p_avg / power.p_max: require"),
+        ("power.rho", "-0.1", "power.rho: Input should be greater than or equal to 0"),
+    ])
+    def test_range_rejected_before_data_build(self, tmp_path, capsys, monkeypatch,
+                                              key, value, message):
+        def no_data(cfg):
+            raise AssertionError("built the data before rejecting the config")
+
+        monkeypatch.setattr(cli.orchestrator, "build_data", no_data)
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path, f"--{key}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rerun_without_dumps_removes_old_dumps(self, tmp_path):
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path, "--run.rounds", "2",
+                         "--output.dump_power", "true",
+                         "--output.dump_slots", "true"]) == 0
+        assert cli.main(["simulate", "--config", cfg_path]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.csv", "resolved_config.json", "summary.json"]
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 3
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -301,6 +341,13 @@ class TestCliTheory:
     def test_bad_channel_flag_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "lambda_eff", "--a0", "1.5"]) == 1
         assert "channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--d-max-km", "1e200"], ["--xi-p", "1e-200"]])
+    def test_unusable_channel_exits_one(self, capsys, flags):
+        assert cli.main(["theory", "--op", "lambda_eff", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel.d_min_km / channel.d_max_km")
+        assert "is not a positive finite number" in err and err.count("\n") == 1
 
     def test_domain_error_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -157,17 +156,17 @@ class TestVerifyErrorBounds:
                          for p in channels]
 
     @pytest.mark.parametrize("change", [
-        {"d_min": 400e3}, {"d_max": 2500e3}, {"a0": 0.5}, {"xi_p": 2.0},
+        {"d_min_km": 400.0}, {"d_max_km": 2500.0}, {"a0": 0.5}, {"xi_p": 2.0},
         {"c_fspl": 1.0},
     ])
     def test_group_rejects_different_geometry(self, change):
         base = mc.unit_channel(xi_snr=1.0)
-        other = dataclasses.replace(base, **change)
+        other = base.model_copy(update=change)
         with pytest.raises(UsageError, match="sigma_n2"):
             mc.verify_error_bounds(10, 0.2, [base, other], samples=10_000)
 
     def test_noiseless_corollary_matches_oracle(self):
-        noiseless = dataclasses.replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
+        noiseless = mc.unit_channel(xi_snr=1.0).model_copy(update={"sigma_n2": 0.0})
         got = mc.verify_corollary1(11, 0.1, noiseless, samples=20_000, seed=4)
         assert got.to_dict() == single_draw_corollary1(
             11, 0.1, noiseless, 20_000, 4).to_dict()
@@ -293,10 +292,7 @@ class TestVerifyQBound:
 
 class TestVerifyCorollary1:
     def test_noise_free_majority_never_flips(self):
-        params = mc.unit_channel(xi_snr=1.0)
-        noiseless = ch.ChannelParams(
-            params.d_min, params.d_max, a0=params.a0, xi_p=params.xi_p,
-            sigma_n2=0.0, c_fspl=params.c_fspl)
+        noiseless = mc.unit_channel(xi_snr=1.0).model_copy(update={"sigma_n2": 0.0})
         # Even without receiver noise the energy vote can flip when the
         # minority happens to draw much stronger fading than the majority,
         # so the conditional rate is small but not exactly zero.

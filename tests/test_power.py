@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
+from pydantic import ValidationError
+
 from optivote import power
+from optivote.config import PowerConfig
 from optivote.errors import UsageError
 
 
 def make_params(**kw):
     defaults = dict(p_avg=1.0, p_min=0.1, p_max=2.0, rho=0.05)
     defaults.update(kw)
-    return power.PowerParams(**defaults)
+    return PowerConfig(**defaults)
 
 
 class TestParams:
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             make_params(p_min=3.0)
 
     def test_rejects_negative_rho(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             make_params(rho=-0.1)
 
 
