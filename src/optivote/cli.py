@@ -67,28 +67,30 @@ def _cmd_simulate(args, extras) -> int:
     return 0
 
 
-def _channel_params(a) -> ChannelConfig:
-    """The channel flags, validated as the config's channel section."""
-    section = {key: getattr(a, key) for key in ChannelConfig.model_fields}
-    return load_config({"channel": section}).channel
+# The channel flags of lambda_eff and lambda_oracle: all but sigma_n2.
+_CHANNEL_FLAGS = ("d_min_km", "d_max_km", "lambda_opt_nm", "a0", "xi_p", "c_fspl")
 
 
-def _theory_inputs(a) -> theory.TheoryInputs:
-    return theory.TheoryInputs(M=a.M, xi_snr=a.xi, L1=a.L1, gap=a.gap,
-                               sigma_l1=a.sigma_l1, N=a.N, gamma=a.gamma)
+def _channel(*values) -> ChannelConfig:
+    """The _CHANNEL_FLAGS values, validated as the config's channel section."""
+    return load_config({"channel": dict(zip(_CHANNEL_FLAGS, values))}).channel
 
 
-# Theory operation registry: name -> fn of the parsed flags.
+# Theory operations: name -> (the flags it reads, fn of their values in that
+# order).  Each fn looks its closed form up at call time, for perfbench's tracer.
 THEORY_OPS = {
-    "theta": lambda a: theory.theta(a.p_avg, a.lam),
-    "energy_means": lambda a: theory.energy_means(a.m_plus, a.m_minus, a.theta, a.sigma_n2),
-    "error_bound": lambda a: theory.error_bound(a.M, a.xi, a.q),
-    "q_bound": lambda a: theory.q_bound(a.g, a.alpha, a.d_b),
-    "error_bound_full": lambda a: theory.error_bound_full(a.M, a.xi, a.g, a.alpha, a.d_b),
-    "corollary1_check": lambda a: theory.corollary1_check(a.m_plus, a.M, a.p_err),
-    "convergence_bound": lambda a: theory.convergence_bound(_theory_inputs(a)),
-    "lambda_eff": lambda a: ch.lambda_eff(_channel_params(a)),
-    "lambda_oracle": lambda a: ch.lambda_oracle(_channel_params(a)),
+    "theta": (("p_avg", "lam"), lambda *v: theory.theta(*v)),
+    "energy_means": (("m_plus", "m_minus", "theta", "sigma_n2"),
+                     lambda *v: theory.energy_means(*v)),
+    "error_bound": (("M", "xi", "q"), lambda *v: theory.error_bound(*v)),
+    "q_bound": (("g", "alpha", "d_b"), lambda *v: theory.q_bound(*v)),
+    "error_bound_full": (("M", "xi", "g", "alpha", "d_b"),
+                         lambda *v: theory.error_bound_full(*v)),
+    "corollary1_check": (("m_plus", "M", "p_err"), lambda *v: theory.corollary1_check(*v)),
+    "convergence_bound": (("M", "xi", "L1", "gap", "sigma_l1", "N", "gamma"),
+                          lambda *v: theory.convergence_bound(theory.TheoryInputs(*v))),
+    "lambda_eff": (_CHANNEL_FLAGS, lambda *v: ch.lambda_eff(_channel(*v))),
+    "lambda_oracle": (_CHANNEL_FLAGS, lambda *v: ch.lambda_oracle(_channel(*v))),
 }
 
 
@@ -104,19 +106,31 @@ THEORY_FLAGS = {
 }
 
 
-def _sweep_axis(spec: str) -> tuple[str, list[tuple[str, object]]]:
-    """``name=v1,v2,...`` -> (name, [(value as typed, value as the flag's type)])."""
-    name, sep, values = spec.partition("=")
-    if not sep:
-        raise ConfigError(f"--param expects name=v1,v2,... got {spec!r}")
-    if name not in THEORY_FLAGS:
-        raise ConfigError(f"--param {name}: not a theory flag; "
-                          f"choose from {', '.join(THEORY_FLAGS)}")
-    kind = THEORY_FLAGS[name][0]
-    try:
-        return name, [(text, kind(text)) for text in values.split(",")]
-    except ValueError as err:
-        raise ConfigError(f"--param {name}: {err}") from None
+def _sweep_axes(specs: list[str]) -> dict[str, list[tuple[str, object]]]:
+    """Each ``name=v1,v2,...`` -> name: [(value as typed, value as the flag's type)]."""
+    axes = {}
+    for spec in specs:
+        name, sep, values = spec.partition("=")
+        if not sep:
+            raise ConfigError(f"--param expects name=v1,v2,... got {spec!r}")
+        if name not in THEORY_FLAGS:
+            raise ConfigError(f"--param {name}: not a theory flag; "
+                              f"choose from {', '.join(THEORY_FLAGS)}")
+        if name in axes:
+            raise ConfigError(f"--param {name}: the axis is repeated")
+        try:
+            axes[name] = [(text, THEORY_FLAGS[name][0](text)) for text in values.split(",")]
+        except ValueError as err:
+            raise ConfigError(f"--param {name}: {err}") from None
+    return axes
+
+
+class _Typed(argparse.Action):
+    """Stores a theory flag and records its name in ``typed``."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        namespace.typed = [*namespace.typed, self.dest]
 
 
 def _cmd_theory(args, extras) -> int:
@@ -126,12 +140,16 @@ def _cmd_theory(args, extras) -> int:
     prints one CSV row per point, each axis value as typed and each element
     of a tuple-valued op in its own column (op_0, op_1, ...).
     """
-    axes = dict(_sweep_axis(spec) for spec in args.param)
+    reads, op = THEORY_OPS[args.op]
+    axes = _sweep_axes(args.param)
+    for name in [*args.typed, *axes]:
+        if name not in reads:
+            raise ConfigError(f"--op {args.op} does not read --{name.replace('_', '-')}")
     rows = []
     for point in itertools.product(*axes.values()):
         for name, (_, value) in zip(axes, point):
             setattr(args, name, value)
-        result = THEORY_OPS[args.op](args)
+        result = op(*(getattr(args, name) for name in reads))
         values = result if isinstance(result, tuple) else (result,)
         rows.append(",".join([text for text, _ in point] + [f"{v}" for v in values]))
     if args.command == "theory":
@@ -189,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         p.add_argument("--op", required=True, choices=sorted(THEORY_OPS))
         for name, (kind, default) in THEORY_FLAGS.items():
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
-        p.set_defaults(fn=_cmd_theory, param=[], output=None)
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default,
+                           action=_Typed)
+        p.set_defaults(fn=_cmd_theory, param=[], output=None, typed=[])
     p.add_argument("--param", action="append", default=[],
                    help="grid axis as name=v1,v2,... (repeatable); name is a "
                         "theory flag without dashes, e.g. d_b")

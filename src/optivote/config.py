@@ -149,6 +149,13 @@ class OutputConfig(_Strict):
     dump_power: bool = False
     dump_slots: bool = False
 
+    @model_validator(mode="after")
+    def _check(self):
+        nearest = next(p for p in (Path(self.dir), *Path(self.dir).parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"output.dir: {str(nearest)!r} exists and is not a directory")
+        return self
+
 
 class Config(_Strict):
     channel: ChannelConfig = ChannelConfig()

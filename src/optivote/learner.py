@@ -1,8 +1,9 @@
 """Datasets, partitioning, desk-scale models, and the sign/MV update.
 
-Models are a multinomial logistic regression and a one-hidden-layer tanh
-MLP with hand-written softmax cross-entropy gradients, flat-packed into a
-single parameter vector so the MV update is a plain vector step.
+Both models are one stack of dense layers under a softmax cross-entropy
+with hand-written gradients, and only ``mlp`` has a hidden tanh layer.  The
+layers are flat-packed as [W1, b1, W2, b2] into a single parameter vector,
+so the MV update is a plain vector step.
 """
 
 import struct
@@ -18,7 +19,6 @@ class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 in [0, num_classes)
     num_classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
@@ -82,8 +82,7 @@ def make_synthetic(
     features = rng.standard_normal(size=(n, d))
     for lo, hi in _row_blocks(n, _BLOCK_ROWS):
         features[lo:hi] += means[labels[lo:hi]]
-    return Dataset(features=features, labels=labels, num_classes=num_classes,
-                   name=f"synthetic{num_classes}c")
+    return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
 _IDX_IMAGES_MAGIC = 0x00000803
@@ -112,12 +111,7 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
         labels = np.frombuffer(_read_exact(f, n_lab, "label data"), dtype=np.uint8)
     if n_img != n_lab:
         raise FormatError(f"image count {n_img} != label count {n_lab}")
-    return Dataset(
-        features=images.astype(np.float64) / 255.0,
-        labels=labels.astype(np.int64),
-        num_classes=10,
-        name="mnist",
-    )
+    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes=10)
 
 
 def partition(
@@ -190,78 +184,64 @@ class Model:
     @classmethod
     def init(cls, arch: str, d: int, num_classes: int, hidden: int = 32,
              seed: int = 0) -> "Model":
-        if arch == "logistic":
-            q = d * num_classes + num_classes
-            hidden = 0
-        elif arch == "mlp":
-            if hidden < 1:
-                raise UsageError("mlp needs hidden >= 1")
-            q = d * hidden + hidden + hidden * num_classes + num_classes
-        else:
-            raise UsageError(f"unknown arch {arch!r}")
-        rng = np.random.default_rng(seed)
-        w = rng.normal(scale=0.01, size=q)
-        return cls(w=w, arch=arch, d=d, num_classes=num_classes, hidden=hidden)
+        widths = _widths(arch, d, num_classes, hidden)
+        q = sum(n_in * n_out + n_out for n_in, n_out in zip(widths, widths[1:]))
+        w = np.random.default_rng(seed).normal(scale=0.01, size=q)
+        return cls(w, arch, d, num_classes, hidden if arch == "mlp" else 0)
 
     @property
     def q(self) -> int:
         return len(self.w)
 
 
-def _unpack_logistic(model: Model):
-    d, c = model.d, model.num_classes
-    W = model.w[: d * c].reshape(d, c)
-    b = model.w[d * c :]
-    return W, b
+def _widths(arch: str, d: int, num_classes: int, hidden: int) -> list[int]:
+    """Layer widths from input to output; only the mlp has a hidden layer."""
+    if arch not in ("logistic", "mlp"):
+        raise UsageError(f"unknown arch {arch!r}")
+    if arch == "mlp" and hidden < 1:
+        raise UsageError("mlp needs hidden >= 1")
+    return [d, hidden, num_classes] if arch == "mlp" else [d, num_classes]
 
 
-def _unpack_mlp(model: Model):
-    d, h, c = model.d, model.hidden, model.num_classes
-    off = 0
-    W1 = model.w[off : off + d * h].reshape(d, h); off += d * h
-    b1 = model.w[off : off + h]; off += h
-    W2 = model.w[off : off + h * c].reshape(h, c); off += h * c
-    b2 = model.w[off : off + c]
-    return W1, b1, W2, b2
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in the fresh logits ``z``."""
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+def _layers(model: Model) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into ``model.w``, input layer first."""
+    widths = _widths(model.arch, model.d, model.num_classes, model.hidden)
+    layers, off = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        end = off + n_in * n_out
+        layers.append((model.w[off:end].reshape(n_in, n_out), model.w[end : end + n_out]))
+        off = end + n_out
+    return layers
 
 
 def _forward(model: Model, x: np.ndarray):
-    """Returns (probs, cache) where cache feeds backprop."""
-    if model.arch == "logistic":
-        W, b = _unpack_logistic(model)
-        return _softmax(x @ W + b), None
-    W1, b1, W2, b2 = _unpack_mlp(model)
-    hact = x @ W1
-    hact += b1
-    np.tanh(hact, out=hact)
-    return _softmax(hact @ W2 + b2), hact
+    """Returns (probs, each layer's input from x on), the inputs for backprop."""
+    *hidden, (W, b) = _layers(model)
+    inputs = [x]
+    for W_h, b_h in hidden:
+        h = inputs[-1] @ W_h
+        h += b_h
+        np.tanh(h, out=h)
+        inputs.append(h)
+    z = inputs[-1] @ W + b  # the logits, turned into a softmax in place
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z, inputs
 
 
 def gradient(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient over the batch, flat-packed like w."""
     n = len(y)
-    dz, hact = _forward(model, x)  # probs, turned into dloss/dz in place
+    dz, inputs = _forward(model, x)  # probs, turned into dloss/dz in place
     dz[np.arange(n), y] -= 1.0
     dz /= n
-    if model.arch == "logistic":
-        gW = x.T @ dz
-        gb = dz.sum(axis=0)
-        return np.concatenate([gW.ravel(), gb])
-    W1, b1, W2, b2 = _unpack_mlp(model)
-    gW2 = hact.T @ dz
-    gb2 = dz.sum(axis=0)
-    dh = (dz @ W2.T) * (1.0 - hact**2)
-    gW1 = x.T @ dh
-    gb1 = dh.sum(axis=0)
-    return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+    parts = []  # output layer first, each prepended: [gW1, gb1, gW2, gb2]
+    for (W, _), a in zip(reversed(_layers(model)), reversed(inputs)):
+        parts[:0] = [(a.T @ dz).ravel(), dz.sum(axis=0)]
+        if a is not x:  # back through the tanh that made the hidden layer a
+            dz = (dz @ W.T) * (1.0 - a**2)
+    return np.concatenate(parts)
 
 
 def local_gradient(
@@ -277,18 +257,17 @@ def local_gradient(
 
     Batches are drawn uniformly with replacement so batch_size may exceed
     the node's shard.  The node takes local_steps batches, stepping a local
-    copy of the model by eta times each gradient before the next batch,
+    copy of the model by apply_update(eta) along each gradient but the last,
     and returns the sum of the gradients (the plain gradient for one step).
     """
     indices = np.asarray(indices)
     if batch_size < 1 or local_steps < 1 or len(indices) == 0:
         raise UsageError("need batch_size >= 1, local_steps >= 1 and a nonempty shard")
-    local = model
     for step in range(local_steps):
         if step:
-            local = replace(local, w=local.w - eta * g)
+            model = apply_update(model, g, eta)
         batch = indices[rng.integers(0, len(indices), size=batch_size)]
-        g = gradient(local, dataset.features[batch], dataset.labels[batch])
+        g = gradient(model, dataset.features[batch], dataset.labels[batch])
         total = g if step == 0 else total + g
     return total
 
@@ -314,10 +293,7 @@ def apply_update(model: Model, direction: np.ndarray, eta: float) -> Model:
 def _eval_blocks(model: Model, n: int):
     """evaluate's row blocks: _BLOCK_ROWS rows, or more for a model so
     narrow that a block's products would fall under _MIN_BLOCK_MACS / 2."""
-    if model.arch == "logistic":
-        narrowest = model.d * model.num_classes
-    else:
-        narrowest = model.hidden * min(model.d, model.num_classes)
+    narrowest = min(W.size for W, _ in _layers(model))
     return _row_blocks(n, max(_BLOCK_ROWS, -(-_MIN_BLOCK_MACS // narrowest)))
 
 

@@ -83,10 +83,8 @@ def build_data(cfg: Config) -> tuple[learner.Dataset, learner.Dataset, list[np.n
             ds.num_classes, ds.n + ds.n_test, ds.d, ds.separation,
             seed=int(derive(seed, TAG_DATA).integers(2**31)),
         )
-        train = learner.Dataset(full.features[: ds.n], full.labels[: ds.n],
-                                full.num_classes, full.name)
-        test = learner.Dataset(full.features[ds.n :], full.labels[ds.n :],
-                               full.num_classes, full.name)
+        train = learner.Dataset(full.features[: ds.n], full.labels[: ds.n], ds.num_classes)
+        test = learner.Dataset(full.features[ds.n :], full.labels[ds.n :], ds.num_classes)
     else:
         train = learner.load_mnist_idx(ds.train_images, ds.train_labels)
         test = learner.load_mnist_idx(ds.test_images, ds.test_labels)
@@ -117,9 +115,9 @@ class _Uplink(NamedTuple):
     noise_rng: np.random.Generator | None
 
 
-# Aggregators: uplink -> (descent direction, vote or None, slot energies
-# or None).  They look the layer functions up at call time, so a wrapper
-# rebound onto a module attribute (perfbench's tracer) sees the call.
+# Aggregators: uplink -> (descent direction, vote, slot energies or None).
+# They look the layer functions up at call time, so a wrapper rebound onto
+# a module attribute (perfbench's tracer) sees the call.
 def _vote_over_air(up: _Uplink):
     e_plus, e_minus = phy.superpose_frame(
         up.signs, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
@@ -132,8 +130,10 @@ def _vote_error_free(up: _Uplink):
 
 
 def _analog_over_air(up: _Uplink):
-    return aggregate_fedavg_air(
-        up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng), None, None
+    # sign(agg) with the detector's tie rule; unlike sign_quantize, a NaN passes to run's guard
+    agg = aggregate_fedavg_air(
+        up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
+    return agg, np.where(agg >= 0.0, 1, -1).astype(np.int8), None
 
 
 class _Scheme(NamedTuple):
@@ -208,7 +208,7 @@ def run(cfg: Config) -> RunSummary:
         eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b)
 
     pstate = power.PowerState.initial(rc.M, pparams)
-    last_mv: np.ndarray | None = None
+    last_mv: np.ndarray | None = None  # the last broadcast vote
     metrics: list[RoundMetrics] = []
     out = Path(cfg.output.dir)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -247,16 +247,12 @@ def run(cfg: Config) -> RunSummary:
                 ])
                 noise_rng = derive(seed, TAG_NOISE, n)
 
-            direction, mv, slots = scheme.aggregate(_Uplink(
+            direction, last_mv, slots = scheme.aggregate(_Uplink(
                 grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
                 noise_rng,
             ))
             model = learner.apply_update(model, direction, eta)
             _require_finite(n, "the model after the step", model.w)
-            mv_error_rate = 0.0
-            if mv is not None:
-                mv_error_rate = float(np.mean(mv != ideal))
-                last_mv = mv
             if slots is not None:
                 e_plus, e_minus = slots
                 write_slots(zip(repeat(n), range(model.q), e_plus, e_minus, e_plus - e_minus))
@@ -268,7 +264,7 @@ def run(cfg: Config) -> RunSummary:
                 round=n,
                 train_loss=train_loss,
                 test_accuracy=test_acc,
-                mv_error_rate=mv_error_rate,
+                mv_error_rate=float(np.mean(last_mv != ideal)),
                 mean_power=float(pstate.p.mean()),
                 mean_consistency=float(pstate.a.mean()),
             ))

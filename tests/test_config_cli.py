@@ -298,6 +298,23 @@ class TestCliSimulate:
             "metrics.csv", "resolved_config.json", "summary.json"]
         assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 3
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir_through_a_file_exits_one_at_load(self, tmp_path, capsys,
+                                                         monkeypatch, below):
+        def no_build(cfg):
+            raise AssertionError("built the data before rejecting output.dir")
+
+        monkeypatch.setattr(cli.orchestrator, "build_data", no_build)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        cfg_path = fast_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg_path,
+                         "--output.dir", str(blocker / below)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output.dir: {str(blocker)!r} exists and is not a directory\n"
+        assert blocker.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -409,10 +426,36 @@ class TestCliSweep:
             args = parser.parse_args([command, "--op", "theta"])
             for name, (kind, default) in cli.THEORY_FLAGS.items():
                 assert getattr(args, name) == default
+            assert args.typed == []
             typed = parser.parse_args([command, "--op", "theta", "--d-b", "4",
                                        "--sigma-n2", "0.5"])
             assert (typed.d_b, typed.sigma_n2) == (4, 0.5)
+            assert typed.typed == ["d_b", "sigma_n2"]
         assert len(cli.THEORY_FLAGS) == 24
+
+    def test_every_flag_is_read_by_some_op(self):
+        reads = {name for flags, _ in cli.THEORY_OPS.values() for name in flags}
+        assert reads == set(cli.THEORY_FLAGS)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--op", "theta", "--param", "M=4,10,50"], "M"),
+        (["theory", "--op", "error_bound", "--lam", "99", "--d-min-km", "7"], "lam"),
+        (["theory", "--op", "error_bound", "--M", "5", "--d-min-km", "7"], "d-min-km"),
+        (["theory", "--op", "lambda_eff", "--sigma-n2", "0.5"], "sigma-n2"),
+        (["sweep", "--op", "q_bound", "--xi", "1", "--param", "d_b=1,4"], "xi"),
+    ])
+    def test_unread_flag_or_axis_exits_one(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --op {argv[2]} does not read --{flag}\n"
+
+    def test_repeated_axis_exits_one(self, capsys):
+        assert cli.main(["sweep", "--op", "error_bound", "--param", "M=4,10",
+                         "--param", "M=50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --param M: the axis is repeated\n"
 
     def test_channel_flag_defaults_are_the_configs(self):
         for name, field in ChannelConfig.model_fields.items():
@@ -426,8 +469,15 @@ class TestCliSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "m_plus,energy_means_0,energy_means_1"
         assert lines[1:] == ["1,1.1,0.1", "2,2.1,0.1"]
-        for op in sorted(cli.THEORY_OPS):
-            assert cli.main(["sweep", "--op", op, "--param", "M=4,5"]) == 0
+        # Each op sweeps a flag it reads.
+        axes = {"theta": "lam=1,2", "energy_means": "m_minus=0,1",
+                "error_bound": "M=4,5", "q_bound": "d_b=1,4",
+                "error_bound_full": "M=4,5", "corollary1_check": "M=4,5",
+                "convergence_bound": "M=4,5", "lambda_eff": "a0=0.5,0.9",
+                "lambda_oracle": "a0=0.5,0.9"}
+        assert sorted(axes) == sorted(cli.THEORY_OPS)
+        for op, axis in axes.items():
+            assert cli.main(["sweep", "--op", op, "--param", axis]) == 0
             header, *rows = capsys.readouterr().out.splitlines()
             assert rows and all(row.count(",") == header.count(",") for row in rows)
 

@@ -27,14 +27,30 @@ def oracle_synthetic(num_classes, n, d, separation, seed):
     return means[labels] + rng.normal(size=(n, d)), labels
 
 
+def unpack_logistic(model):
+    d, c = model.d, model.num_classes
+    return model.w[: d * c].reshape(d, c), model.w[d * c :]
+
+
+def unpack_mlp(model):
+    d, h, c = model.d, model.hidden, model.num_classes
+    W1 = model.w[: d * h].reshape(d, h)
+    b1 = model.w[d * h : d * h + h]
+    W2 = model.w[d * h + h : d * h + h + h * c].reshape(h, c)
+    b2 = model.w[d * h + h + h * c :]
+    assert len(b2) == c
+    return W1, b1, W2, b2
+
+
 def oracle_forward(model, x):
-    """The forward pass over all rows at once, nothing computed in place."""
+    """The forward pass over all rows at once, nothing computed in place,
+    one branch per architecture."""
     if model.arch == "logistic":
-        W, b = learner._unpack_logistic(model)
+        W, b = unpack_logistic(model)
         z = x @ W + b
         hact = None
     else:
-        W1, b1, W2, b2 = learner._unpack_mlp(model)
+        W1, b1, W2, b2 = unpack_mlp(model)
         hact = np.tanh(x @ W1 + b1)
         z = hact @ W2 + b2
     z = z - z.max(axis=1, keepdims=True)
@@ -58,7 +74,7 @@ def oracle_gradient(model, x, y):
     dz /= n
     if model.arch == "logistic":
         return np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
-    W1, b1, W2, b2 = learner._unpack_mlp(model)
+    W1, b1, W2, b2 = unpack_mlp(model)
     dh = (dz @ W2.T) * (1.0 - hact**2)
     return np.concatenate([(x.T @ dh).ravel(), dh.sum(axis=0),
                            (hact.T @ dz).ravel(), dz.sum(axis=0)])
@@ -254,6 +270,14 @@ class TestGradient:
         assert np.array_equal(got, want)
         assert np.array_equal(model.w, learner.Model.init(arch, 6, 4, hidden=5, seed=4).w)
 
+    def test_local_steps_reject_non_positive_eta(self):
+        # A second local step with eta = 0 would step nowhere.
+        ds = learner.make_synthetic(3, 50, 4, 2.0, seed=2)
+        model = learner.Model.init("logistic", 4, 3, seed=1)
+        with pytest.raises(UsageError, match="eta"):
+            learner.local_gradient(model, ds, np.arange(5), 8,
+                                   np.random.default_rng(0), local_steps=2, eta=0.0)
+
     def test_rejects_zero_local_steps(self):
         ds = learner.make_synthetic(3, 50, 4, 2.0, seed=2)
         model = learner.Model.init("logistic", 4, 3, seed=1)
@@ -353,6 +377,19 @@ class TestEvaluate:
         probs = np.concatenate([learner._forward(model, ds.features[lo:hi])[0]
                                 for lo, hi in blocks])
         assert np.array_equal(probs, oracle_forward(model, ds.features)[0])
+
+    @pytest.mark.parametrize("d", [20, 784])
+    @pytest.mark.parametrize("hidden", [8, 64])
+    @pytest.mark.parametrize("num_classes", [4, 10])
+    def test_blocks_follow_the_narrowest_product(self, d, hidden, num_classes):
+        # The per-architecture formula: d * C for logistic regression,
+        # hidden * min(d, C) for the mlp.
+        n = 70_000
+        for arch, narrowest in (("logistic", d * num_classes),
+                                ("mlp", hidden * min(d, num_classes))):
+            model = learner.Model.init(arch, d, num_classes, hidden=hidden)
+            rows = max(B, -(-learner._MIN_BLOCK_MACS // narrowest))
+            assert learner._eval_blocks(model, n) == learner._row_blocks(n, rows)
 
     def test_peak_memory_is_one_block(self):
         ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4)
