@@ -143,8 +143,11 @@ def _cmd_theory(args, extras) -> int:
     reads, op = THEORY_OPS[args.op]
     axes = _sweep_axes(args.param)
     for name in [*args.typed, *axes]:
+        flag = "--" + name.replace("_", "-")
         if name not in reads:
-            raise ConfigError(f"--op {args.op} does not read --{name.replace('_', '-')}")
+            raise ConfigError(f"--op {args.op} does not read {flag}")
+        if name in axes and name in args.typed:
+            raise ConfigError(f"--param {name} would override {flag}; give one of the two")
     rows = []
     for point in itertools.product(*axes.values()):
         for name, (_, value) in zip(axes, point):

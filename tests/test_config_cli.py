@@ -416,7 +416,7 @@ class TestCliSweep:
         flags = ["--M", "7", "--q", "0.1", "--xi", "2.5"]
         assert cli.main(["theory", "--op", "error_bound", *flags]) == 0
         value = json.loads(capsys.readouterr().out)["error_bound"]
-        assert cli.main(["sweep", "--op", "error_bound", *flags,
+        assert cli.main(["sweep", "--op", "error_bound", *flags[2:],
                          "--param", "M=7"]) == 0
         assert capsys.readouterr().out == f"M,error_bound\n7,{value}\n"
 
@@ -456,6 +456,13 @@ class TestCliSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --param M: the axis is repeated\n"
+
+    def test_axis_over_a_typed_flag_exits_one(self, capsys):
+        assert cli.main(["sweep", "--op", "error_bound", "--M", "3",
+                         "--param", "M=7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --param M would override --M; give one of the two\n"
 
     def test_channel_flag_defaults_are_the_configs(self):
         for name, field in ChannelConfig.model_fields.items():

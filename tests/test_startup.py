@@ -1,0 +1,37 @@
+"""CLI start-up in a fresh interpreter: scipy loads only for the quadrature oracle.
+
+The in-process suite always has scipy imported (other test modules import
+it), so only a child interpreter sees the cold path.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from optivote import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter with this checkout's src/ on the path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = fresh_python("-c", "import sys, optivote.cli; print(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cold_lambda_oracle_matches_in_process(capsys):
+    proc = fresh_python("-m", "optivote.cli", "theory", "--op", "lambda_oracle")
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["theory", "--op", "lambda_oracle"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert json.loads(proc.stdout)["lambda_oracle"] > 0
