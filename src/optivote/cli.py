@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +89,14 @@ THEORY_OPS = {
                          lambda *v: theory.error_bound_full(*v)),
     "corollary1_check": (("m_plus", "M", "p_err"), lambda *v: theory.corollary1_check(*v)),
     "convergence_bound": (("M", "xi", "L1", "gap", "sigma_l1", "N", "gamma"),
-                          lambda *v: theory.convergence_bound(theory.TheoryInputs(*v))),
+                          lambda *v: theory.convergence_bound(*v)),
     "lambda_eff": (_CHANNEL_FLAGS, lambda *v: ch.lambda_eff(_channel(*v))),
     "lambda_oracle": (_CHANNEL_FLAGS, lambda *v: ch.lambda_oracle(_channel(*v))),
 }
 
 
-# theory/sweep flags: name -> (type, default), the channel's from its config
-# section.  --d-b sets d_b; a sweep axis --param d_b=1,4 takes the flag's type.
+# theory/sweep flags: name -> (type, default when not typed), the channel's from
+# its config section.  --d-b sets d_b; a sweep axis --param d_b=1,4 takes the flag's type.
 THEORY_FLAGS = {
     "M": (int, 10), "xi": (float, 1.0), "q": (float, 0.2), "g": (float, 1.0),
     "alpha": (float, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
@@ -125,14 +126,6 @@ def _sweep_axes(specs: list[str]) -> dict[str, list[tuple[str, object]]]:
     return axes
 
 
-class _Typed(argparse.Action):
-    """Stores a theory flag and records its name in ``typed``."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, value)
-        namespace.typed = [*namespace.typed, self.dest]
-
-
 def _cmd_theory(args, extras) -> int:
     """theory and sweep: evaluate --op at every point of the --param grid.
 
@@ -142,17 +135,17 @@ def _cmd_theory(args, extras) -> int:
     """
     reads, op = THEORY_OPS[args.op]
     axes = _sweep_axes(args.param)
-    for name in [*args.typed, *axes]:
+    typed = [name for name in vars(args) if name in THEORY_FLAGS]
+    for name in [*typed, *axes]:
         flag = "--" + name.replace("_", "-")
         if name not in reads:
             raise ConfigError(f"--op {args.op} does not read {flag}")
-        if name in axes and name in args.typed:
+        if name in axes and name in typed:
             raise ConfigError(f"--param {name} would override {flag}; give one of the two")
     rows = []
     for point in itertools.product(*axes.values()):
-        for name, (_, value) in zip(axes, point):
-            setattr(args, name, value)
-        result = op(*(getattr(args, name) for name in reads))
+        given = {**vars(args), **{name: value for name, (_, value) in zip(axes, point)}}
+        result = op(*(given.get(name, THEORY_FLAGS[name][1]) for name in reads))
         values = result if isinstance(result, tuple) else (result,)
         rows.append(",".join([text for text, _ in point] + [f"{v}" for v in values]))
     if args.command == "theory":
@@ -168,7 +161,7 @@ def _cmd_verify(args, extras) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     reports = montecarlo.run_default_suite(samples=args.samples, seed=args.seed,
                                            threads=args.threads)
-    _emit(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.output)
+    _emit(json.dumps([asdict(r) for r in reports], indent=2) + "\n", args.output)
     failures = [r for r in reports if not r.passed]
     for r in failures:
         print(f"FAIL {r.name}: empirical={r.empirical} vs {r.theoretical} "
@@ -209,10 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                              ("sweep", "evaluate a theory op over a parameter grid")):
         p = sub.add_parser(command, help=summary)
         p.add_argument("--op", required=True, choices=sorted(THEORY_OPS))
-        for name, (kind, default) in THEORY_FLAGS.items():
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default,
-                           action=_Typed)
-        p.set_defaults(fn=_cmd_theory, param=[], output=None, typed=[])
+        for name, (kind, _) in THEORY_FLAGS.items():
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
+        p.set_defaults(fn=_cmd_theory, param=[], output=None)
     p.add_argument("--param", action="append", default=[],
                    help="grid axis as name=v1,v2,... (repeatable); name is a "
                         "theory flag without dashes, e.g. d_b")

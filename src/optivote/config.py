@@ -32,11 +32,11 @@ class ChannelConfig(_Strict):
     model_config = ConfigDict(frozen=True)
     d_min_km: float = Field(500.0, gt=0)
     d_max_km: float = 2000.0
-    lambda_opt_nm: float = Field(1550.0, gt=0)
+    lambda_opt_nm: Optional[float] = Field(None, gt=0)  # 1550 when c_fspl is unset
     a0: float = Field(0.9, gt=0, le=1)
     xi_p: float = Field(1.5, gt=0)
     sigma_n2: float = Field(0.1, ge=0)
-    c_fspl: Optional[float] = Field(None, gt=0)  # overrides the wavelength's C_FSPL
+    c_fspl: Optional[float] = Field(None, gt=0)  # C_FSPL in place of the wavelength's
 
     @property
     def d_min(self) -> float:  # meters
@@ -53,8 +53,18 @@ class ChannelConfig(_Strict):
             return self.c_fspl
         return (self.lambda_opt_nm * 1e-9 / (4.0 * math.pi)) ** 2
 
+    @model_validator(mode="before")
+    @classmethod
+    def _default_wavelength(cls, data):
+        if isinstance(data, dict) and data.get("c_fspl") is None \
+                and data.get("lambda_opt_nm") is None:
+            data = {**data, "lambda_opt_nm": 1550.0}
+        return data
+
     @model_validator(mode="after")
     def _check(self):
+        if self.lambda_opt_nm is not None and self.c_fspl is not None:
+            raise ValueError("channel.lambda_opt_nm / channel.c_fspl: set one of the two")
         if not self.d_min_km < self.d_max_km:
             raise ValueError("channel.d_min_km / channel.d_max_km: require d_min_km < d_max_km")
         try:

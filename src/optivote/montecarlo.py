@@ -20,8 +20,9 @@ block-sized temporaries per worker are alive at once; no (samples, M)
 array is built.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +43,6 @@ class McReport:
     passed: bool
     tolerance_rule: str
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        # numpy scalars sneak in through vectorized comparisons; keep the
-        # serialized report plain-JSON typed.
-        d["empirical"] = float(d["empirical"])
-        d["theoretical"] = float(d["theoretical"])
-        d["standard_error"] = float(d["standard_error"])
-        d["passed"] = bool(d["passed"])
-        return d
-
 
 def _binomial_se(rate: float, samples: int) -> float:
     return float(np.sqrt(max(rate * (1.0 - rate), 1e-12) / samples))
@@ -59,8 +50,8 @@ def _binomial_se(rate: float, samples: int) -> float:
 
 def unit_channel(xi_snr: float) -> ChannelConfig:
     """The default channel with geometric efficiency normalized to 1 and
-    sigma_n2 set so the effective SNR theta / sigma_n2 (at p_avg = 1) equals
-    xi_snr."""
+    sigma_n2 set so the effective SNR theta / sigma_n2 equals xi_snr: every
+    check sends at unit power, p_avg = 1."""
     shell = ChannelConfig()
     c_fspl = (shell.d_max**3 - shell.d_min**3) / (3.0 * (shell.d_max - shell.d_min))
     lam = ch.lambda_eff(ChannelConfig(c_fspl=c_fspl))
@@ -72,14 +63,12 @@ def verify_energy_means(
     m_plus: int,
     m_minus: int,
     samples: int,
-    p_avg: float = 1.0,
     seed: int = 0,
 ) -> list[McReport]:
     """Empirical slot-energy means for a fixed vote split vs. closed form."""
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
-    lam = ch.lambda_eff(params)
-    th = theory.theta(p_avg, lam)
+    th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
     std_n = np.sqrt(params.sigma_n2)
@@ -88,7 +77,7 @@ def verify_energy_means(
     for slot, count, mu in (("plus", m_plus, mu_plus), ("minus", m_minus, mu_minus)):
         if count > 0:
             intens = ch.sample_intensities(params, rng, samples * count)
-            signal = p_avg * intens.reshape(samples, count).sum(axis=1)
+            signal = intens.reshape(samples, count).sum(axis=1)
         else:
             signal = np.zeros(samples)
         e = signal + params.sigma_n2 + rng.normal(0.0, std_n, size=samples)
@@ -136,7 +125,6 @@ def _cohort_sums(
     q_i: float,
     params: ChannelConfig,
     samples: int,
-    p_avg: float,
     rng: np.random.Generator,
     threads: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +152,6 @@ def _cohort_sums(
             _generator_at(bits, state, size + start).random(rows * M),
             _generator_at(bits, state, 2 * size + start).random(rows * M),
         ).reshape(rows, M)
-        amp *= p_avg
         e_plus[lo:hi] = (amp * correct).sum(axis=1)
         amp *= ~correct
         e_minus[lo:hi] = amp.sum(axis=1)
@@ -188,7 +175,6 @@ def _simulate_flips(
     q_i: float,
     channels: list[ChannelConfig],
     samples: int,
-    p_avg: float,
     rng: np.random.Generator,
     threads: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -208,8 +194,7 @@ def _simulate_flips(
     if any(_geometry(p) != _geometry(channels[0]) for p in channels):
         raise UsageError("channels scored against one cohort may differ in sigma_n2 only")
     _check_threads(threads)
-    e_plus, e_minus, n_plus = _cohort_sums(
-        M, q_i, channels[0], samples, p_avg, rng, threads)
+    e_plus, e_minus, n_plus = _cohort_sums(M, q_i, channels[0], samples, rng, threads)
     z_plus = rng.standard_normal(samples)
     z_minus = rng.standard_normal(samples)
     flips = []
@@ -225,7 +210,6 @@ def verify_error_bounds(
     q_i: float,
     channels: list[ChannelConfig],
     samples: int,
-    p_avg: float = 1.0,
     seed: int = 0,
     threads: int = 1,
 ) -> list[McReport]:
@@ -239,10 +223,10 @@ def verify_error_bounds(
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
     rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    all_flips, _ = _simulate_flips(M, q_i, channels, samples, p_avg, rng, threads)
+    all_flips, _ = _simulate_flips(M, q_i, channels, samples, rng, threads)
     reports = []
     for params, flips in zip(channels, all_flips):
-        xi = theory.theta(p_avg, ch.lambda_eff(params)) / params.sigma_n2
+        xi = theory.theta(1.0, ch.lambda_eff(params)) / params.sigma_n2
         bound = theory.error_bound(M, xi, q_i)
         rate = float(flips.mean())
         se = _binomial_se(rate, samples)
@@ -264,12 +248,11 @@ def verify_error_bound(
     q_i: float,
     params: ChannelConfig,
     samples: int,
-    p_avg: float = 1.0,
     seed: int = 0,
     threads: int = 1,
 ) -> McReport:
     """Empirical MV flip rate vs. the closed-form upper bound."""
-    return verify_error_bounds(M, q_i, [params], samples, p_avg, seed, threads)[0]
+    return verify_error_bounds(M, q_i, [params], samples, seed, threads)[0]
 
 
 def verify_q_bound(
@@ -299,7 +282,6 @@ def verify_corollary1(
     q_i: float,
     params: ChannelConfig,
     samples: int,
-    p_avg: float = 1.0,
     seed: int = 0,
     threads: int = 1,
 ) -> McReport:
@@ -307,7 +289,7 @@ def verify_corollary1(
     if not (0.0 <= q_i < 0.5):
         raise UsageError("q_i must be below 1/2")
     rng = derive(seed, TAG_MC, 4, M)
-    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, p_avg, rng, threads)
+    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, rng, threads)
     majority = n_plus > M / 2
     n_cond = int(majority.sum())
     if n_cond == 0:
@@ -355,7 +337,7 @@ def run_default_suite(
     for per_snr in zip(*by_cohort):
         reports += per_snr
 
-    for ratio in (0.0, 0.5, 1.0, 2.0 / np.sqrt(3.0), 2.0, 3.0):
+    for ratio in (0.0, 0.5, 1.0, 2.0 / math.sqrt(3.0), 2.0, 3.0):
         reports.append(
             verify_q_bound(g_abs=ratio, alpha=1.0, d_b=1, samples=samples, seed=seed)
         )

@@ -6,18 +6,17 @@ domain instead of returning sentinels.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import UsageError
 
 _BRANCH_POINT = 2.0 / math.sqrt(3.0)
 
 
-def theta(p_avg: float, lam: float, c_r: float = 1.0, e_s: float = 1.0) -> float:
-    """Mean received signal energy per node: C_R * sqrt(E_s) * p_avg * lambda."""
+def theta(p_avg: float, lam: float) -> float:
+    """Mean received signal energy per node: p_avg * lambda (C_R = E_s = 1, as in ``phy``)."""
     if p_avg <= 0 or lam <= 0:
         raise UsageError("p_avg and lambda must be positive")
-    return c_r * math.sqrt(e_s) * p_avg * lam
+    return p_avg * lam
 
 
 def energy_means(
@@ -84,38 +83,25 @@ def corollary1_check(m_plus: int, M: int, p_err: float) -> bool:
     return m_plus > M / 2 and p_err < 0.5
 
 
-@dataclass(frozen=True)
-class TheoryInputs:
-    """Everything the convergence bound needs."""
-
-    M: int
-    xi_snr: float
-    L1: float  # ||L||_1 smoothness
-    gap: float  # F(w0) - F*
-    sigma_l1: float  # ||sigma||_1 gradient-noise scale
-    N: int
-    gamma: int
-
-    def __post_init__(self):
-        if self.M < 1 or self.gamma < 1 or self.N < 1:
-            raise UsageError("M, N, gamma must be >= 1")
-        if self.xi_snr <= 0 or self.L1 <= 0:
-            raise UsageError("xi_snr and L1 must be positive")
-        if self.N % self.gamma != 0:
-            raise UsageError("N must be divisible by gamma (d_b = N / gamma)")
-
-
-def convergence_bound(inputs: TheoryInputs) -> float:
-    """Bound on the running mean of ||g||_1 over N rounds.
+def convergence_bound(M: int, xi_snr: float, L1: float, gap: float,
+                      sigma_l1: float, N: int, gamma: int) -> float:
+    """Bound on the running mean of ||g||_1 over N rounds (L1 = ||L||_1 the
+    smoothness, gap = F(w0) - F*, sigma_l1 = ||sigma||_1 the gradient-noise scale):
 
     (1/sqrt(N)) * [delta * sqrt(L1) * (gap + gamma/2)
                    + (2 sqrt(2) / 3) * sqrt(gamma) * sigma_l1],
     delta = (1 + 2/(xi M)) / sqrt(gamma).
     """
-    delta = (1.0 + 2.0 / (inputs.xi_snr * inputs.M)) / math.sqrt(inputs.gamma)
-    term1 = delta * math.sqrt(inputs.L1) * (inputs.gap + inputs.gamma / 2.0)
-    term2 = (2.0 * math.sqrt(2.0) / 3.0) * math.sqrt(inputs.gamma) * inputs.sigma_l1
-    return (term1 + term2) / math.sqrt(inputs.N)
+    if M < 1 or gamma < 1 or N < 1:
+        raise UsageError("M, N, gamma must be >= 1")
+    if xi_snr <= 0 or L1 <= 0:
+        raise UsageError("xi_snr and L1 must be positive")
+    if N % gamma != 0:
+        raise UsageError("N must be divisible by gamma (d_b = N / gamma)")
+    delta = (1.0 + 2.0 / (xi_snr * M)) / math.sqrt(gamma)
+    term1 = delta * math.sqrt(L1) * (gap + gamma / 2.0)
+    term2 = (2.0 * math.sqrt(2.0) / 3.0) * math.sqrt(gamma) * sigma_l1
+    return (term1 + term2) / math.sqrt(N)
 
 
 def theorem1_eta(L1: float, d_b: int) -> float:

@@ -39,7 +39,7 @@ def test_criterion_01_slot_energy_moments():
     t0 = time.monotonic()
     params = default_channel()
     reports = mc.verify_energy_means(params, m_plus=7, m_minus=3,
-                                     samples=1_000_000, p_avg=1.0, seed=0)
+                                     samples=1_000_000, seed=0)
     elapsed = time.monotonic() - t0
     detail = "; ".join(
         f"{r.name}: {r.empirical:.6f} vs {r.theoretical:.6f} (SE {r.standard_error:.2g})"
@@ -136,9 +136,8 @@ def test_criterion_06_convergence_bound_instance():
     """The convergence-bound evaluator reproduces an independently
     hand-computed instance to 1e-9 and decreases monotonically in both
     the SNR and the round count."""
-    inputs = theory.TheoryInputs(M=20, xi_snr=1.0, L1=10.0, gap=5.0,
-                                 sigma_l1=2.0, N=400, gamma=4)
-    got = theory.convergence_bound(inputs)
+    got = theory.convergence_bound(M=20, xi_snr=1.0, L1=10.0, gap=5.0,
+                                   sigma_l1=2.0, N=400, gamma=4)
     # hand evaluation: delta = (1 + 2/20)/2 = 0.55;
     # (0.55*sqrt(10)*7 + (2*sqrt(2)/3)*2*2) / sqrt(400)
     hand = 0.7973002578988259
@@ -148,7 +147,7 @@ def test_criterion_06_convergence_bound_instance():
         base = dict(M=20, xi_snr=1.0, L1=10.0, gap=5.0, sigma_l1=2.0,
                     N=400, gamma=4)
         base.update(kw)
-        return theory.convergence_bound(theory.TheoryInputs(**base))
+        return theory.convergence_bound(**base)
 
     xi_vals = [at(xi_snr=x) for x in (0.25, 0.5, 1.0, 2.0, 8.0, 64.0)]
     n_vals = [at(N=n) for n in (100, 200, 400, 800)]

@@ -115,6 +115,20 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="run.frame_capacity"):
             load_config({"run": {"frame_capacity": 8}})
 
+    def test_wavelength_and_c_fspl_are_exclusive(self):
+        both = "channel.lambda_opt_nm / channel.c_fspl: set one of the two"
+        with pytest.raises(ConfigError, match=both):
+            load_config({"channel": {"lambda_opt_nm": 800.0, "c_fspl": 1.75e12}})
+        with pytest.raises(ConfigError, match=both):
+            load_config({"channel": {"c_fspl": 1.75e12}},
+                        overrides={"channel.lambda_opt_nm": 800.0})
+        # The default wavelength applies only without c_fspl, and either
+        # resolved form loads back to the same config.
+        for channel, wavelength in (({}, 1550.0), ({"c_fspl": 1.75e12}, None)):
+            cfg = load_config({"channel": channel})
+            assert cfg.channel.lambda_opt_nm == wavelength
+            assert load_config(json.loads(resolved_json(cfg))) == cfg
+
     def test_channel_unit_conversion(self):
         params = load_config({}).channel
         assert params.d_min == 500e3
@@ -370,6 +384,18 @@ class TestCliTheory:
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_wavelength_with_c_fspl_exits_one(self, tmp_path, capsys):
+        both = "error: channel.lambda_opt_nm / channel.c_fspl: set one of the two\n"
+        for argv in (["theory", "--op", "lambda_eff", "--c-fspl", "1.75e12",
+                      "--lambda-opt-nm", "800"],
+                     ["sweep", "--op", "lambda_eff", "--c-fspl", "1.75e12",
+                      "--param", "lambda_opt_nm=800,900"],
+                     ["simulate", "--config", fast_config(tmp_path),
+                      "--channel.lambda_opt_nm", "800"]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", both)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliSweep:
     def test_sweep_csv(self, capsys):
@@ -423,14 +449,21 @@ class TestCliSweep:
     def test_flags_match_the_table(self):
         parser = cli.build_parser()
         for command in ("theory", "sweep"):
+            # An untyped flag is not on the namespace, so the op reads the
+            # table's default; a typed one parses with the table's type.
             args = parser.parse_args([command, "--op", "theta"])
+            assert not set(vars(args)) & set(cli.THEORY_FLAGS)
             for name, (kind, default) in cli.THEORY_FLAGS.items():
-                assert getattr(args, name) == default
-            assert args.typed == []
+                if default is not None:
+                    flag = "--" + name.replace("_", "-")
+                    typed = parser.parse_args([command, "--op", "theta", flag, str(default)])
+                    assert type(getattr(typed, name)) is kind
+                    assert getattr(typed, name) == default
             typed = parser.parse_args([command, "--op", "theta", "--d-b", "4",
                                        "--sigma-n2", "0.5"])
             assert (typed.d_b, typed.sigma_n2) == (4, 0.5)
-            assert typed.typed == ["d_b", "sigma_n2"]
+            assert [name for name in vars(typed) if name in cli.THEORY_FLAGS] == [
+                "d_b", "sigma_n2"]
         assert len(cli.THEORY_FLAGS) == 24
 
     def test_every_flag_is_read_by_some_op(self):
@@ -467,9 +500,8 @@ class TestCliSweep:
     def test_channel_flag_defaults_are_the_configs(self):
         for name, field in ChannelConfig.model_fields.items():
             assert cli.THEORY_FLAGS[name] == (float, field.default)
-        args = cli.build_parser().parse_args(["theory", "--op", "lambda_eff"])
-        assert {k: getattr(args, k) for k in ChannelConfig.model_fields} == \
-            ChannelConfig().model_dump()
+        defaults = {k: cli.THEORY_FLAGS[k][1] for k in ChannelConfig.model_fields}
+        assert load_config({"channel": defaults}).channel == ChannelConfig()
 
     def test_tuple_op_gets_one_column_per_element(self, capsys):
         assert cli.main(["sweep", "--op", "energy_means", "--param", "m_plus=1,2"]) == 0

@@ -1,6 +1,8 @@
 """Property test: a config drawn from the schema, valid or not, either
 fails in ``load_config`` with a message that starts with a dotted key, or
 completes a short run; the one data-dependent rejection is an empty shard.
+A config that sets both ``channel.lambda_opt_nm`` and ``channel.c_fspl``
+never runs.
 """
 
 import math
@@ -25,8 +27,9 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 # Every key of the schema but output.dir and the IDX paths: a strategy of
 # values that pass its own range check (sizes stay small, runs take at most
 # 2 rounds), and values that must not.  Cross-field rules (d_min_km <
-# d_max_km, p_min <= p_avg <= p_max, m <= M, theorem1 needs L1_estimate)
-# and empty shards also come up among the passing values.
+# d_max_km, p_min <= p_avg <= p_max, m <= M, theorem1 needs L1_estimate,
+# lambda_opt_nm and c_fspl exclusive) and empty shards also come up among
+# the passing values.
 KEYS = {
     "channel.d_min_km": (floats(100.0, 1500.0), (0.0, -1.0, *NON_FINITE)),
     "channel.d_max_km": (floats(200.0, 5000.0), (1e200, math.inf)),
@@ -82,6 +85,7 @@ SMALL = {
     "run": {"M": 4, "m": 2, "rounds": 2, "d_b": 8},
 }
 DOTTED_KEY = re.compile(r"[A-Za-z_]\w*(\.\w+)+\b")
+EXCLUSIVE = ("channel.lambda_opt_nm", "channel.c_fspl")
 
 
 # derandomize: tier-1 replays the same draws every time.
@@ -89,11 +93,19 @@ DOTTED_KEY = re.compile(r"[A-Za-z_]\w*(\.\w+)+\b")
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(dotted_overrides())
 def test_config_is_rejected_naming_a_key_or_runs(overrides):
+    wavelength, c_fspl = (overrides.get(k) for k in EXCLUSIVE)
+    both = wavelength is not None and c_fspl is not None
     try:
         cfg = load_config(SMALL, overrides)
     except ConfigError as err:
         assert DOTTED_KEY.match(str(err)), str(err)
+        # With every channel value in its own range, the message names both.
+        in_range = all(v not in KEYS[k][1] for k, v in overrides.items()
+                       if k.startswith("channel."))
+        if both and in_range:
+            assert " / ".join(EXCLUSIVE) + ": set one of the two" in str(err), str(err)
         return
+    assert not both, overrides
     try:
         orchestrator.run(cfg)
     except ConfigError as err:

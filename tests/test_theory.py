@@ -129,16 +129,15 @@ class TestCorollary1:
 def default_inputs(**kw):
     base = dict(M=20, xi_snr=1.0, L1=10.0, gap=5.0, sigma_l1=2.0, N=400, gamma=4)
     base.update(kw)
-    return theory.TheoryInputs(**base)
+    return base
 
 
-def appendix_grouping(inputs):
+def appendix_grouping(M, xi_snr, L1, gap, sigma_l1, N, gamma):
     """The proof's final rearrangement, with the gamma terms split apart."""
-    c = 1.0 + 2.0 / (inputs.xi_snr * inputs.M)
-    n, gamma = inputs.N, inputs.gamma
-    term_a = c * math.sqrt(gamma) / (2.0 * math.sqrt(n)) * math.sqrt(inputs.L1)
-    term_b = c * math.sqrt(inputs.L1) / math.sqrt(n * gamma) * inputs.gap
-    term_c = 2.0 * math.sqrt(2.0) * math.sqrt(gamma) * inputs.sigma_l1 / (3.0 * math.sqrt(n))
+    c = 1.0 + 2.0 / (xi_snr * M)
+    term_a = c * math.sqrt(gamma) / (2.0 * math.sqrt(N)) * math.sqrt(L1)
+    term_b = c * math.sqrt(L1) / math.sqrt(N * gamma) * gap
+    term_c = 2.0 * math.sqrt(2.0) * math.sqrt(gamma) * sigma_l1 / (3.0 * math.sqrt(N))
     return term_a + term_b + term_c
 
 
@@ -150,40 +149,40 @@ class TestConvergenceBound:
             + (2.0 * math.sqrt(2.0) / 3.0) * 2.0 * 2.0) / 20.0
 
     def test_hand_computed_instance(self):
-        assert theory.convergence_bound(default_inputs()) == pytest.approx(
+        assert theory.convergence_bound(**default_inputs()) == pytest.approx(
             self.HAND, abs=1e-9)
 
     def test_scaling_with_rounds(self):
-        b400 = theory.convergence_bound(default_inputs(N=400))
-        b800 = theory.convergence_bound(default_inputs(N=800))
+        b400 = theory.convergence_bound(**default_inputs(N=400))
+        b800 = theory.convergence_bound(**default_inputs(N=800))
         assert b800 == pytest.approx(b400 / math.sqrt(2), rel=1e-12)
 
     def test_delta_limit_large_snr(self):
         inputs = default_inputs(xi_snr=1e9, M=10**6)
-        loose = theory.convergence_bound(inputs)
+        loose = theory.convergence_bound(**inputs)
         # with delta -> 1/sqrt(gamma)
         expected = (math.sqrt(10.0) * 7.0 / 2.0
                     + (2 * math.sqrt(2) / 3) * 2 * 2) / 20.0
         assert loose == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_in_xi_and_sigma(self):
-        vals = [theory.convergence_bound(default_inputs(xi_snr=x))
+        vals = [theory.convergence_bound(**default_inputs(xi_snr=x))
                 for x in (0.1, 0.5, 1, 5, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        vals = [theory.convergence_bound(default_inputs(sigma_l1=s))
+        vals = [theory.convergence_bound(**default_inputs(sigma_l1=s))
                 for s in (0.5, 1, 2, 4)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_indivisible_rounds(self):
         with pytest.raises(UsageError):
-            default_inputs(N=401)
+            theory.convergence_bound(**default_inputs(N=401))
 
     def test_appendix_form_agrees(self):
         # the regrouped proof-side expression is algebraically identical
         for xi in (0.3, 1.0, 7.0):
             inputs = default_inputs(xi_snr=xi)
-            assert appendix_grouping(inputs) == pytest.approx(
-                theory.convergence_bound(inputs), rel=1e-12)
+            assert appendix_grouping(**inputs) == pytest.approx(
+                theory.convergence_bound(**inputs), rel=1e-12)
 
 
 class TestTheorem1Eta:
