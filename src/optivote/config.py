@@ -25,11 +25,14 @@ SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
 
 
 class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False, frozen=True)
+
+    def model_copy(self, *, update: dict | None = None):
+        """A copy with ``update`` applied, validated as ``load_config`` validates."""
+        return self.model_validate({**self.model_dump(), **(update or {})})
 
 
 class ChannelConfig(_Strict):
-    model_config = ConfigDict(frozen=True)
     d_min_km: float = Field(500.0, gt=0)
     d_max_km: float = 2000.0
     lambda_opt_nm: Optional[float] = Field(None, gt=0)  # 1550 when c_fspl is unset
@@ -79,7 +82,6 @@ class ChannelConfig(_Strict):
 
 
 class PowerConfig(_Strict):
-    model_config = ConfigDict(frozen=True)
     p_avg: float = 1.0
     p_min: float = Field(0.1, gt=0)
     p_max: float = 2.0

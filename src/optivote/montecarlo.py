@@ -6,10 +6,10 @@ the report so a failure is self-explaining.  Bound checks are one-sided:
 the closed forms are conservative upper bounds, so the simulator must
 never exceed them (plus 3 standard errors of slack).
 
-The flip-bound grid of ``run_default_suite`` draws each (M, q) cohort once
-and scores it at every SNR point.  The stream key never held the SNR, so
-the four SNR points of one cohort always shared their votes and
-intensities: their reports are correlated, not independent.
+Slot noise and votes come from ``phy``, the simulator's own receiver.  The
+flip-bound grid of ``run_default_suite`` draws each (M, q) cohort once and
+scores it under the noise variance of every SNR point, so the four reports
+of one cohort share their votes and intensities: they are correlated.
 
 A cohort is simulated in row blocks of about ``_BLOCK_ELEMENTS`` votes
 over ``threads`` worker threads (``_cohort_sums``).  Each block reads its
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
-from . import theory
+from . import phy, theory
 from .config import ChannelConfig
 from .errors import UsageError
 from .rng import TAG_MC, derive
@@ -71,7 +71,6 @@ def verify_energy_means(
     th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
-    std_n = np.sqrt(params.sigma_n2)
 
     reports = []
     for slot, count, mu in (("plus", m_plus, mu_plus), ("minus", m_minus, mu_minus)):
@@ -80,7 +79,7 @@ def verify_energy_means(
             signal = intens.reshape(samples, count).sum(axis=1)
         else:
             signal = np.zeros(samples)
-        e = signal + params.sigma_n2 + rng.normal(0.0, std_n, size=samples)
+        e = phy.received(signal, params.sigma_n2, rng.standard_normal(samples))
         emp = float(e.mean())
         se = float(e.std(ddof=1) / np.sqrt(samples))
         reports.append(
@@ -95,10 +94,6 @@ def verify_energy_means(
             )
         )
     return reports
-
-
-def _geometry(params: ChannelConfig) -> tuple:
-    return (params.d_min, params.d_max, params.a0, params.xi_p, params.fspl_constant)
 
 
 def _check_threads(threads: int) -> None:
@@ -130,6 +125,8 @@ def _cohort_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free slot energies (e+, e-) and correct-vote counts per sample.
 
+    The one superposition outside ``phy``: every sample has its own fading,
+    so a block sums each row's M products along its node axis.
     ``rng`` draws ``samples * M`` uniforms for the votes (row-major), then
     as many distances, then as many pointing gains; each row block reads
     its slice of the three draws and sums its M products in the same order
@@ -173,49 +170,45 @@ def _cohort_sums(
 def _simulate_flips(
     M: int,
     q_i: float,
-    channels: list[ChannelConfig],
+    params: ChannelConfig,
+    noise_variances: list[float],
     samples: int,
     rng: np.random.Generator,
     threads: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Vectorized vote/transmit/detect rounds with true sign +1.
 
-    One cohort draw (votes and intensities) is scored under the receiver
-    noise of every channel, so the channels must share their geometry and
-    differ in ``sigma_n2`` only.  Every channel scales the same pair of
-    standard normals, drawn right after the cohort, by its own
-    sqrt(sigma_n2); ``rng.normal(0, std)`` computes ``0 + std * z``, so
-    each channel gets the bits it would get drawing from that state alone.
-    A noiseless channel scales them by zero, which adds nothing.
+    One cohort draw on ``params`` (votes and intensities) is scored under
+    each receiver-noise variance: every variance scales the same pair of
+    standard normals, drawn right after the cohort, through
+    ``phy.received``, so each gets the bits it would get drawing from that
+    state alone.  A zero variance scales them by zero, which adds nothing.
 
-    Returns (flip indicator per sample, for each channel; correct-vote
+    Returns (flip indicator per sample, for each variance; correct-vote
     count per sample).
     """
-    if any(_geometry(p) != _geometry(channels[0]) for p in channels):
-        raise UsageError("channels scored against one cohort may differ in sigma_n2 only")
     _check_threads(threads)
-    e_plus, e_minus, n_plus = _cohort_sums(M, q_i, channels[0], samples, rng, threads)
+    e_plus, e_minus, n_plus = _cohort_sums(M, q_i, params, samples, rng, threads)
     z_plus = rng.standard_normal(samples)
     z_minus = rng.standard_normal(samples)
-    flips = []
-    for p in channels:
-        std = np.sqrt(p.sigma_n2)
-        delta = (e_plus + p.sigma_n2 + std * z_plus) - (e_minus + p.sigma_n2 + std * z_minus)
-        flips.append(delta < 0.0)
+    flips = [phy.detect_mv(phy.received(e_plus, s2, z_plus),
+                           phy.received(e_minus, s2, z_minus)) == -1
+             for s2 in noise_variances]
     return flips, n_plus
 
 
 def verify_error_bounds(
     M: int,
     q_i: float,
-    channels: list[ChannelConfig],
+    params: ChannelConfig,
+    noise_variances: list[float],
     samples: int,
     seed: int = 0,
     threads: int = 1,
 ) -> list[McReport]:
-    """Empirical MV flip rate vs. the closed-form upper bound, per channel.
+    """Empirical MV flip rate vs. the closed-form upper bound, per noise variance.
 
-    The channels share one cohort draw (see ``_simulate_flips``), so their
+    The variances share one cohort draw (see ``_simulate_flips``), so their
     reports are correlated, not independent.
     """
     if not (0.0 < q_i < 0.5):
@@ -223,10 +216,10 @@ def verify_error_bounds(
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
     rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    all_flips, _ = _simulate_flips(M, q_i, channels, samples, rng, threads)
+    all_flips, _ = _simulate_flips(M, q_i, params, noise_variances, samples, rng, threads)
     reports = []
-    for params, flips in zip(channels, all_flips):
-        xi = theory.theta(1.0, ch.lambda_eff(params)) / params.sigma_n2
+    for sigma_n2, flips in zip(noise_variances, all_flips):
+        xi = theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2
         bound = theory.error_bound(M, xi, q_i)
         rate = float(flips.mean())
         se = _binomial_se(rate, samples)
@@ -252,7 +245,7 @@ def verify_error_bound(
     threads: int = 1,
 ) -> McReport:
     """Empirical MV flip rate vs. the closed-form upper bound."""
-    return verify_error_bounds(M, q_i, [params], samples, seed, threads)[0]
+    return verify_error_bounds(M, q_i, params, [params.sigma_n2], samples, seed, threads)[0]
 
 
 def verify_q_bound(
@@ -289,7 +282,7 @@ def verify_corollary1(
     if not (0.0 <= q_i < 0.5):
         raise UsageError("q_i must be below 1/2")
     rng = derive(seed, TAG_MC, 4, M)
-    (flips,), n_plus = _simulate_flips(M, q_i, [params], samples, rng, threads)
+    (flips,), n_plus = _simulate_flips(M, q_i, params, [params.sigma_n2], samples, rng, threads)
     majority = n_plus > M / 2
     n_cond = int(majority.sum())
     if n_cond == 0:
@@ -331,8 +324,8 @@ def run_default_suite(
     reports += verify_energy_means(params, m_plus=5, m_minus=5,
                                    samples=samples, seed=seed)
 
-    channels = [unit_channel(xi_snr=xi) for xi in DEFAULT_XI_GRID]
-    by_cohort = [verify_error_bounds(M, q, channels, samples, seed=seed, threads=threads)
+    noise = [unit_channel(xi_snr=xi).sigma_n2 for xi in DEFAULT_XI_GRID]
+    by_cohort = [verify_error_bounds(M, q, params, noise, samples, seed=seed, threads=threads)
                  for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]
     for per_snr in zip(*by_cohort):
         reports += per_snr

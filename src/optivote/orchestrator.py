@@ -130,10 +130,10 @@ def _vote_error_free(up: _Uplink):
 
 
 def _analog_over_air(up: _Uplink):
-    # sign(agg) with the detector's tie rule; unlike sign_quantize, a NaN passes to run's guard
+    # Unlike sign_quantize, the detector lets a NaN aggregate through to run's guard.
     agg = aggregate_fedavg_air(
         up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
-    return agg, np.where(agg >= 0.0, 1, -1).astype(np.int8), None
+    return agg, phy.detect_mv(agg, 0.0), None
 
 
 class _Scheme(NamedTuple):

@@ -82,7 +82,9 @@ def test_criterion_03_flip_bound_dominance():
     violations = []
     for M in (4, 10, 50):
         for q in (0.05, 0.2, 0.4):
-            for r in mc.verify_error_bounds(M, q, channels, samples=100_000, seed=0):
+            for r in mc.verify_error_bounds(M, q, mc.unit_channel(1.0),
+                                            [p.sigma_n2 for p in channels],
+                                            samples=100_000, seed=0):
                 if not r.passed:
                     violations.append(r.name)
     report(3, "flip-bound one-sided dominance over 36-point grid",

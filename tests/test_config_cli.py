@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pydantic
 import pytest
 
 from optivote import cli
@@ -10,6 +11,7 @@ from optivote.config import (
     ChannelConfig, Config, config_hash, load_config, parse_config, resolved_json,
 )
 from optivote.errors import ConfigError
+from optivote.montecarlo import unit_channel
 
 from conftest import UNIT_CFSPL
 
@@ -128,6 +130,17 @@ class TestConfigSchema:
             cfg = load_config({"channel": channel})
             assert cfg.channel.lambda_opt_nm == wavelength
             assert load_config(json.loads(resolved_json(cfg))) == cfg
+
+    def test_sections_are_frozen_and_copies_validated(self):
+        # Every section, and every copy of one, holds only values
+        # load_config accepts.
+        with pytest.raises(pydantic.ValidationError):
+            unit_channel(1.0).model_copy(update={"lambda_opt_nm": 800.0, "a0": 5.0})
+        with pytest.raises(pydantic.ValidationError):
+            load_config({}).run.seed = -1
+        cfg = load_config({})
+        assert cfg.power.model_copy(update={"rho": 0.0}).rho == 0.0
+        assert cfg.model_copy() == cfg
 
     def test_channel_unit_conversion(self):
         params = load_config({}).channel

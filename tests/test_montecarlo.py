@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from optivote import channel as ch
 from optivote import montecarlo as mc
-from optivote import theory
+from optivote import phy, theory
 from optivote.errors import UsageError
 from optivote.rng import TAG_MC, derive
 
@@ -150,19 +150,11 @@ class TestVerifyErrorBound:
 class TestVerifyErrorBounds:
     def test_group_matches_single_channel_calls(self):
         channels = [mc.unit_channel(xi_snr=xi) for xi in (0.5, 5.0)]
-        group = mc.verify_error_bounds(10, 0.2, channels, samples=10_000, seed=2)
+        group = mc.verify_error_bounds(10, 0.2, mc.unit_channel(1.0),
+                                       [p.sigma_n2 for p in channels],
+                                       samples=10_000, seed=2)
         assert group == [mc.verify_error_bound(10, 0.2, p, samples=10_000, seed=2)
                          for p in channels]
-
-    @pytest.mark.parametrize("change", [
-        {"d_min_km": 400.0}, {"d_max_km": 2500.0}, {"a0": 0.5}, {"xi_p": 2.0},
-        {"c_fspl": 1.0},
-    ])
-    def test_group_rejects_different_geometry(self, change):
-        base = mc.unit_channel(xi_snr=1.0)
-        other = base.model_copy(update=change)
-        with pytest.raises(UsageError, match="sigma_n2"):
-            mc.verify_error_bounds(10, 0.2, [base, other], samples=10_000)
 
     def test_noiseless_corollary_matches_oracle(self):
         noiseless = mc.unit_channel(xi_snr=1.0).model_copy(update={"sigma_n2": 0.0})
@@ -187,6 +179,21 @@ class TestCohortKernel:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("M", [4, 11])
+    def test_rows_are_phy_superpositions(self, M):
+        # Each row's (e+, e-) is noise-free phy.superpose_frame on that
+        # row's +-1 votes at unit power; the sums differ only in order.
+        params = mc.unit_channel(xi_snr=1.0)
+        e_plus, e_minus, _ = mc._cohort_sums(M, 0.2, params, 300, derive(6, TAG_MC), 1)
+        rng = derive(6, TAG_MC)
+        correct = rng.random((300, M)) >= 0.2
+        amp = ch.sample_intensities(params, rng, 300 * M).reshape(300, M)
+        for row in range(300):
+            votes = np.where(correct[row], 1, -1)[:, None]
+            want = phy.superpose_frame(votes, np.ones(M), amp[row], 0.0, derive(0))
+            np.testing.assert_allclose(e_plus[row], want[0][0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(e_minus[row], want[1][0], rtol=1e-12, atol=0)
 
     def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
         # Three workers on a two-core machine, 1,001 blocks, and a switch

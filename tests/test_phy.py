@@ -90,6 +90,21 @@ class TestDetectMv:
         assert (base == scaled).all()
 
 
+class TestReceived:
+    @pytest.mark.parametrize("sigma_n2", [0.0, 1e-12, 0.1, 40.0])
+    def test_is_rng_normal_bit_for_bit(self, sigma_n2):
+        # The one noise expression must add the bits that
+        # rng.normal(0, sqrt(sigma_n2)) adds on the same generator state.
+        e = derive(9).uniform(0.0, 3.0, size=1000)
+        state = derive(9, 1).bit_generator.state
+        got, want = np.random.default_rng(), np.random.default_rng()
+        got.bit_generator.state = want.bit_generator.state = state
+        noisy = phy.received(e, sigma_n2, got.standard_normal(1000))
+        expect = e + sigma_n2 + want.normal(0.0, np.sqrt(sigma_n2), 1000)
+        assert np.array_equal(noisy.view(np.uint64), expect.view(np.uint64))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
 class TestSuperposeFrame:
     def test_matches_per_coordinate_superpose_noiseless(self):
         rng = np.random.default_rng(4)
