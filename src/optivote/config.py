@@ -116,6 +116,8 @@ class DatasetConfig(_Strict):
             path = getattr(self, key)
             if self.type == "mnist" and not os.path.isfile(path or ""):
                 raise ValueError(f"learner.dataset.{key}: mnist needs an IDX file, got {path!r}")
+            if self.type == "synthetic" and path is not None:
+                raise ValueError(f"learner.dataset.type / learner.dataset.{key}: unused by synthetic")
         return self
 
 
@@ -151,8 +153,8 @@ class RunConfig(_Strict):
     def _check(self):
         if not (1 <= self.m <= self.M):
             raise ValueError("run.m must satisfy 1 <= m <= M")
-        if self.lr == "theorem1" and self.L1_estimate is None:
-            raise ValueError("run.L1_estimate is required when run.lr = 'theorem1'")
+        if (self.lr == "theorem1") != (self.L1_estimate is not None):
+            raise ValueError("run.lr / run.L1_estimate: set L1_estimate exactly when lr = 'theorem1'")
         return self
 
 

@@ -16,7 +16,7 @@ import tempfile
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -257,9 +257,8 @@ def run(cfg: Config) -> RunSummary:
                 e_plus, e_minus = slots
                 write_slots(zip(repeat(n), range(model.q), e_plus, e_minus, e_plus - e_minus))
 
-            train_loss, _ = learner.evaluate(model, train)
+            train_loss, test_acc = learner.evaluate(model, train, test)
             _require_finite(n, "the training loss", train_loss)
-            _, test_acc = learner.evaluate(model, test)
             metrics.append(RoundMetrics(
                 round=n,
                 train_loss=train_loss,
@@ -296,12 +295,15 @@ METRICS_HEADER = ",".join(f.name for f in fields(RoundMetrics))
 
 
 def _csv(files: ExitStack, path: Path, header: str, on: bool = True) -> Callable:
-    """Row appender for a new CSV at ``path``, closed with ``files``, or a
-    no-op that creates no file when off.  Every value prints as %.17g (an
-    int as itself), so floats round-trip and replays are byte-identical."""
+    """Block appender for a new CSV at ``path``, closed with ``files`` (off: no file, rows unread).
+    One ``%`` prints a call's rows, each value as %.17g (an int as itself), so floats round-trip."""
     if not on:
         return lambda rows: None
     f = files.enter_context(open(path, "w"))
     f.write(header + "\n")
     row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    return lambda rows: f.writelines(row % values for values in rows)
+
+    def write(rows):
+        values = tuple(chain.from_iterable(rows))
+        f.write(row * (len(values) // row.count("%")) % values)
+    return write

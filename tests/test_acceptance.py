@@ -268,9 +268,9 @@ def test_criterion_10_gradient_oracle():
             wp[k] += h
             wm[k] -= h
             lp, _ = learner.evaluate(
-                learner.Model(wp, arch, 6, 4, model.hidden), ds)
+                learner.Model(wp, arch, 6, 4, model.hidden), ds, ds)
             lm, _ = learner.evaluate(
-                learner.Model(wm, arch, 6, 4, model.hidden), ds)
+                learner.Model(wm, arch, 6, 4, model.hidden), ds, ds)
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(g[k]), 1e-3)
             worst = max(worst, abs(g[k] - fd) / denom)

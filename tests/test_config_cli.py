@@ -67,6 +67,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="L1_estimate"):
             load_config({"run": {"lr": "theorem1"}})
 
+    @pytest.mark.parametrize("key", ["train_images", "train_labels",
+                                     "test_images", "test_labels"])
+    def test_synthetic_rejects_idx_path(self, key):
+        with pytest.raises(ConfigError) as err:
+            load_config({"learner": {"dataset": {"type": "synthetic", key: "/nonexistent"}}})
+        assert str(err.value).startswith(f"learner.dataset.type / learner.dataset.{key}: ")
+
+    def test_constant_lr_rejects_smoothness_estimate(self):
+        with pytest.raises(ConfigError) as err:
+            load_config({"run": {"lr": "constant", "L1_estimate": 2.0}})
+        assert str(err.value).startswith("run.lr / run.L1_estimate: ")
+        assert load_config({"run": {"lr": "theorem1", "L1_estimate": 2.0}}).run.L1_estimate == 2.0
+
     def test_resolved_json_round_trip(self):
         cfg = load_config({"run": {"seed": 3, "eta": 0.01}})
         again = load_config(json.loads(resolved_json(cfg)))

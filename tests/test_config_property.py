@@ -27,9 +27,9 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 # Every key of the schema but output.dir and the IDX paths: a strategy of
 # values that pass its own range check (sizes stay small, runs take at most
 # 2 rounds), and values that must not.  Cross-field rules (d_min_km <
-# d_max_km, p_min <= p_avg <= p_max, m <= M, theorem1 needs L1_estimate,
-# lambda_opt_nm and c_fspl exclusive) and empty shards also come up among
-# the passing values.
+# d_max_km, p_min <= p_avg <= p_max, m <= M, theorem1 needs L1_estimate and
+# a constant lr takes none, lambda_opt_nm and c_fspl exclusive) and empty
+# shards also come up among the passing values.
 KEYS = {
     "channel.d_min_km": (floats(100.0, 1500.0), (0.0, -1.0, *NON_FINITE)),
     "channel.d_max_km": (floats(200.0, 5000.0), (1e200, math.inf)),

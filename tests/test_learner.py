@@ -114,7 +114,7 @@ class TestMakeSynthetic:
         for _ in range(300):
             g = learner.gradient(model, ds.features, ds.labels)
             model = learner.apply_update(model, g, 1.0)
-        assert learner.evaluate(model, ds)[1] >= 0.99
+        assert learner.evaluate(model, ds, ds)[1] >= 0.99
 
     def test_centralized_sgd_reference(self):
         # reference run backing the end-to-end learning target
@@ -123,7 +123,7 @@ class TestMakeSynthetic:
         test = learner.Dataset(full.features[2000:], full.labels[2000:], 10)
         model = train_sgd(learner.Model.init("logistic", 20, 10, seed=0),
                           train, steps=500, lr=0.5)
-        assert learner.evaluate(model, test)[1] >= 0.9
+        assert learner.evaluate(model, train, test)[1] >= 0.9
 
 
 class TestMnistIdx:
@@ -204,18 +204,15 @@ class TestGradient:
         for _ in range(20):
             model = learner.Model.init(arch, 6, 4, hidden=5, seed=rng.integers(1 << 30))
             model.w[:] = rng.normal(scale=0.5, size=model.q)
-            x, y = ds.features, ds.labels
-            g = learner.gradient(model, x, y)
+            g = learner.gradient(model, ds.features, ds.labels)
             h = 1e-5
             probe = rng.integers(0, model.q, size=25)
             for j in probe:
                 w0 = model.w[j]
                 model.w[j] = w0 + h
-                lo_plus = -np.log(np.clip(
-                    learner._forward(model, x)[0][np.arange(len(y)), y], 1e-300, None)).mean()
+                lo_plus = learner.evaluate(model, ds, ds)[0]
                 model.w[j] = w0 - h
-                lo_minus = -np.log(np.clip(
-                    learner._forward(model, x)[0][np.arange(len(y)), y], 1e-300, None)).mean()
+                lo_minus = learner.evaluate(model, ds, ds)[0]
                 model.w[j] = w0
                 fd = (lo_plus - lo_minus) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
@@ -366,17 +363,26 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_identical_to_one_shot_oracle(self, arch, d, hidden, n, seed):
-        ds = learner.make_synthetic(10, n, d, 1.0, seed)
+        # n training rows and a test set of another size, both split as
+        # build_data splits them; each crosses its own block boundaries.
+        n_test = BLOCK_SIZES[BLOCK_SIZES.index(n) - 1]
+        full = learner.make_synthetic(10, n + n_test, d, 1.0, seed)
+        train = learner.Dataset(full.features[:n], full.labels[:n], 10)
+        test = learner.Dataset(full.features[n:], full.labels[n:], 10)
         model = learner.Model.init(arch, d, 10, hidden=hidden or 1, seed=seed)
         model.w[:] = np.random.default_rng(seed).normal(scale=0.3, size=model.q)
-        assert learner.evaluate(model, ds) == oracle_evaluate(model, ds)
+        assert learner.evaluate(model, train, test) == (
+            oracle_evaluate(model, train)[0], oracle_evaluate(model, test)[1])
         # Row by row too, so that a change the loss's mean hides still shows.
-        blocks = learner._eval_blocks(model, n)
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        probs = np.concatenate([learner._forward(model, ds.features[lo:hi])[0]
-                                for lo, hi in blocks])
-        assert np.array_equal(probs, oracle_forward(model, ds.features)[0])
+        for ds in (train, test):
+            blocks = learner._eval_blocks(model, ds.n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == ds.n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            probs = []
+            for lo, hi in blocks:
+                e, total = learner._forward(model, ds.features[lo:hi])[:2]
+                probs.append(e / total)
+            assert np.array_equal(np.concatenate(probs), oracle_forward(model, ds.features)[0])
 
     @pytest.mark.parametrize("d", [20, 784])
     @pytest.mark.parametrize("hidden", [8, 64])
@@ -397,7 +403,7 @@ class TestEvaluate:
         full_hidden = ds.n * model.hidden * 8  # one (n, hidden) float64 array
         tracemalloc.start()
         try:
-            learner.evaluate(model, ds)
+            learner.evaluate(model, ds, ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,7 +413,7 @@ class TestEvaluate:
     def test_chance_level_on_unstructured_data(self):
         ds = learner.make_synthetic(10, 5000, 20, 0.0, seed=5)
         model = learner.Model.init("logistic", 20, 10, seed=3)
-        _, acc = learner.evaluate(model, ds)
+        _, acc = learner.evaluate(model, ds, ds)
         assert abs(acc - 0.1) <= 0.02
 
     def test_perfect_classifier_loss(self):
@@ -416,10 +422,10 @@ class TestEvaluate:
         for _ in range(500):
             g = learner.gradient(model, ds.features, ds.labels)
             model = learner.apply_update(model, g, 2.0)
-        loss, acc = learner.evaluate(model, ds)
+        loss, acc = learner.evaluate(model, ds, ds)
         assert acc == 1.0 and loss <= 0.01
 
     def test_deterministic(self):
         ds = learner.make_synthetic(3, 100, 5, 2.0, seed=1)
         model = learner.Model.init("mlp", 5, 3, hidden=4, seed=2)
-        assert learner.evaluate(model, ds) == learner.evaluate(model, ds)
+        assert learner.evaluate(model, ds, ds) == learner.evaluate(model, ds, ds)

@@ -1,6 +1,9 @@
+import math
 import tracemalloc
 import warnings
+from contextlib import ExitStack
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -299,3 +302,39 @@ class TestMetricsCsv:
         row = text.strip().split("\n")[1].split(",")
         assert float(row[1]) == summary.metrics[0].train_loss
         assert float(row[2]) == summary.metrics[0].test_accuracy
+
+
+class TestCsvWriter:
+    HEADER = "round,node,x,y"
+
+    def written(self, tmp_path, *blocks) -> str:
+        path = tmp_path / "block.csv"
+        with ExitStack() as files:
+            write = orch._csv(files, path, self.HEADER)
+            for block in blocks:
+                write(block)
+        return path.read_text()
+
+    def test_block_equals_per_row_format(self, tmp_path):
+        x = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.5])
+        y = np.array([math.nan, math.inf, -math.inf, 0.1])
+        # The per-row writer, fed numpy scalars as run feeds its columns.
+        row = ",".join(["%.17g"] * 4) + "\n"
+        per_row = "".join(row % values for values in zip(repeat(7), range(4), x, y))
+        assert per_row == ("7,0,-0,nan\n7,1,4.9406564584124654e-324,inf\n"
+                           "7,2,1.7976931348623157e+308,-inf\n7,3,-1.5,0.10000000000000001\n")
+        for block in (zip(repeat(7), range(4), x, y),
+                      list(zip(repeat(7), range(4), x.tolist(), y.tolist()))):
+            assert self.written(tmp_path, block) == self.HEADER + "\n" + per_row
+
+    def test_empty_block_writes_nothing(self, tmp_path):
+        assert self.written(tmp_path, [], zip(range(0), [])) == self.HEADER + "\n"
+
+    def test_off_reads_no_rows(self, tmp_path):
+        def rows():
+            raise AssertionError("read the rows of a dump that is off")
+            yield
+
+        with ExitStack() as files:
+            orch._csv(files, tmp_path / "off.csv", self.HEADER, on=False)(rows())
+        assert not (tmp_path / "off.csv").exists()
