@@ -63,7 +63,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args, extras) -> int:
-    summary = orchestrator.run(_load_run_config(args, extras))
+    summary = orchestrator.run(_load_run_config(args, extras), threads=args.threads)
     print(f"final accuracy {summary.final_accuracy:.4f}")
     return 0
 
@@ -171,7 +171,7 @@ def _cmd_verify(args, extras) -> int:
 
 def _cmd_partition_inspect(args, extras) -> int:
     cfg = _load_run_config(args, extras)
-    train, _, shards = orchestrator.build_data(cfg)
+    train, _, shards = orchestrator.build_data(cfg, threads=args.threads)
     info = []
     for node, idx in enumerate(shards):
         labels, counts = np.unique(train.labels[idx], return_counts=True)
@@ -189,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     parser.add_argument("--threads", type=int, default=cpus,
-                        help="worker threads of verify's Monte Carlo kernel "
-                             "(default: the CPUs this process may use); results "
-                             "do not depend on it, and simulate does not use it yet")
+                        help="worker threads of verify's Monte Carlo kernel and of the "
+                             "synthetic data build (default: the CPUs this process may "
+                             "use); no output depends on them")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a configured training simulation")

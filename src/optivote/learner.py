@@ -6,7 +6,10 @@ layers are flat-packed as [W1, b1, W2, b2] into a single parameter vector,
 so the MV update is a plain vector step.
 """
 
+import copy
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,28 +63,87 @@ def _row_blocks(n: int, rows: int):
     return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
+# make_synthetic's fill: numpy's ziggurat reads _RAW_PER_NORMAL PCG64 outputs per
+# normal on average (1,022,035,438 for 1e9: seeds 0-9 at 1e8 each, ratios within 2.2e-5).
+_RAW_PER_NORMAL = 1.022035
+_MIN_CHUNK = 2**20  # normals per fill chunk at least
+_OVERLAP = 2**14  # normals each chunk draws past its end
+_WINDOW = 64  # normals that locate a chunk in the stream, and its start margin
+
+
+def _fill_chunks(n: int, d: int, threads: int) -> list[tuple[int, int]]:
+    """Row bounds of make_synthetic's fill chunks, one per worker thread."""
+    return _row_blocks(n, -(-n // max(1, min(threads, n * d // _MIN_CHUNK, n))))
+
+
 def make_synthetic(
-    num_classes: int, n: int, d: int, separation: float, seed: int
+    num_classes: int, n: int, d: int, separation: float, seed: int, threads: int = 1
 ) -> Dataset:
     """Gaussian class clusters with unit within-class spread.
 
-    Class means are random unit directions scaled by ``separation``, so
-    large separation gives linearly separable data.
-
-    Memory: the (n, d) feature array is the only full-size buffer.  The
-    noise is drawn into it and the class means are added in place, one
-    block of rows at a time, so the peak is n*d floats plus one block.
-    The result is bit-identical to ``means[labels] + rng.normal(size=(n, d))``.
+    Class means are random unit directions scaled by ``separation``, so large
+    separation gives linearly separable data.  Bit-identical to
+    ``means[labels] + rng.normal(size=(n, d))`` at any ``threads``: chunk 0
+    of the noise rows is drawn from ``rng``, chunk j from a PCG64 advanced
+    _RAW_PER_NORMAL outputs per normal before it, less _WINDOW normals, each
+    with _OVERLAP normals past its end.  The ziggurat falls into step within a
+    few normals, so finding chunk j's normals _WINDOW..2*_WINDOW in chunk j-1's
+    overlap gives its offset; it is shifted into place, its head taken from that
+    overlap.  If no window is found, the rest is drawn on from the last exact
+    generator.  Memory: the (n, d) features, _BLOCK_ROWS rows, an overlap per chunk.
     """
-    if min(num_classes, n, d) < 1:
-        raise UsageError("num_classes, n, d must all be >= 1")
+    if min(num_classes, n, d, threads) < 1:
+        raise UsageError("num_classes, n, d and threads must all be >= 1")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
     labels = rng.integers(0, num_classes, size=n)
-    features = rng.standard_normal(size=(n, d))
-    for lo, hi in _row_blocks(n, _BLOCK_ROWS):
-        features[lo:hi] += means[labels[lo:hi]]
+    features = np.empty((n, d))
+    flat = features.reshape(-1)
+    chunks = [(lo * d, hi * d) for lo, hi in _fill_chunks(n, d, threads)]
+    k = len(chunks)
+    gens = [rng] + [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(
+        round(_RAW_PER_NORMAL * (a - _WINDOW)))) for a, _ in chunks[1:]]
+    # Allocated here rather than in the workers, which would each grow a malloc arena.
+    tails = np.empty((k, _OVERLAP if k > 1 else 0))
+    gather = np.empty((k, min(n, -(-_BLOCK_ROWS // k)), d))
+
+    def draw(j):
+        gens[j].standard_normal(out=flat[slice(*chunks[j])])
+        gens[j].standard_normal(out=tails[j])
+
+    def place(j):
+        (a, b), (s, head) = chunks[j], placed[j]
+        if s > 0:  # numpy moves an overlapping 1-D slice in place, without a temporary
+            flat[a : b - s] = flat[a + s : b]
+            flat[b - s : b] = tails[j][:s]
+        elif s < 0:
+            flat[a - s : b] = flat[a : b + s]
+        flat[a : a + len(head)] = head
+        r0, buf = a // d, gather[j]
+        for lo, hi in _row_blocks(b // d - r0, len(buf)):
+            # mode="clip" writes straight into out; "raise" would buffer it.
+            np.take(means, labels[r0 + lo : r0 + hi], axis=0, out=buf[: hi - lo], mode="clip")
+            features[r0 + lo : r0 + hi] += buf[: hi - lo]
+
+    with ThreadPoolExecutor(k) if k > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        list(each(draw, range(k)))
+        # (s, head) per chunk: its body and overlap hold the stream from normal
+        # a - s on, exactly from their _WINDOW-th; edge[i] is normal a - s_prev - _OVERLAP + i.
+        placed = [(0, tails[0][:0])]
+        while len(placed) < len(chunks):
+            j, a = len(placed), chunks[len(placed)][0]
+            edge = np.concatenate((flat[a - _OVERLAP : a], tails[j - 1]))
+            window, first = flat[a + _WINDOW : a + 2 * _WINDOW], placed[-1][0] + _OVERLAP
+            found = [i for i in np.flatnonzero(edge[: 1 - _WINDOW] == window[0])
+                     if np.array_equal(edge[i : i + _WINDOW], window)]
+            if not found or abs(_WINDOW + first - found[0]) > _OVERLAP:
+                flat[a : a + len(edge) - first] = edge[first:]
+                gens[j - 1].standard_normal(out=flat[a + len(edge) - first :])
+                chunks[j:], found = [(a, n * d)], [first + _WINDOW]
+            placed.append((_WINDOW + first - found[0], edge[first : found[0]].copy()))
+        list(each(place, range(len(chunks))))
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
@@ -111,7 +173,8 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
         labels = np.frombuffer(_read_exact(f, n_lab, "label data"), dtype=np.uint8)
     if n_img != n_lab:
         raise FormatError(f"image count {n_img} != label count {n_lab}")
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes=10)
+    # Cast while dividing, so that only one (n, d) float64 array is made.
+    return Dataset(images / 255.0, labels.astype(np.int64), num_classes=10)
 
 
 def partition(

@@ -75,13 +75,14 @@ def aggregate_fedavg_air(
     return agg
 
 
-def build_data(cfg: Config) -> tuple[learner.Dataset, learner.Dataset, list[np.ndarray]]:
-    """(train, test, per-node training shards), deterministic in run.seed."""
+def build_data(cfg: Config,
+               threads: int = 1) -> tuple[learner.Dataset, learner.Dataset, list[np.ndarray]]:
+    """(train, test, per-node training shards), deterministic in run.seed at any ``threads``."""
     ds, seed, M = cfg.learner.dataset, cfg.run.seed, cfg.run.M
     if ds.type == "synthetic":
         full = learner.make_synthetic(
             ds.num_classes, ds.n + ds.n_test, ds.d, ds.separation,
-            seed=int(derive(seed, TAG_DATA).integers(2**31)),
+            seed=int(derive(seed, TAG_DATA).integers(2**31)), threads=threads,
         )
         train = learner.Dataset(full.features[: ds.n], full.labels[: ds.n], ds.num_classes)
         test = learner.Dataset(full.features[ds.n :], full.labels[ds.n :], ds.num_classes)
@@ -167,8 +168,9 @@ def _require_finite(n: int, what: str, values) -> None:
 # Overflow and invalid-value warnings are silenced: every non-finite value
 # they would announce reaches a _require_finite check, which names the round.
 @np.errstate(over="ignore", invalid="ignore")
-def run(cfg: Config) -> RunSummary:
-    """Execute one configured training run; deterministic in (config, seed).
+def run(cfg: Config, threads: int = 1) -> RunSummary:
+    """Execute one configured training run; deterministic in (config, seed),
+    whatever the ``threads`` that build a synthetic dataset.
 
     Writes every file of the run into ``output.dir``.  They are staged in a
     temporary directory beside it, each dump row written as its round
@@ -196,7 +198,7 @@ def run(cfg: Config) -> RunSummary:
                   "receiver noise (check channel.c_fspl and channel.sigma_n2)",
                   file=sys.stderr)
 
-    train, test, shards = build_data(cfg)
+    train, test, shards = build_data(cfg, threads)
     model = learner.Model.init(
         cfg.learner.model.arch, train.d, train.num_classes,
         hidden=cfg.learner.model.hidden,

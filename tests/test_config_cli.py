@@ -6,7 +6,7 @@ import numpy as np
 import pydantic
 import pytest
 
-from optivote import cli
+from optivote import cli, learner
 from optivote.config import (
     ChannelConfig, Config, config_hash, load_config, parse_config, resolved_json,
 )
@@ -227,6 +227,16 @@ class TestCliSimulate:
         first = (tmp_path / "out" / "metrics.csv").read_bytes()
         cli.main(["simulate", "--config", cfg_path])
         assert (tmp_path / "out" / "metrics.csv").read_bytes() == first
+
+    def test_threads_keep_metrics_bytes(self, tmp_path):
+        dataset = {"n": 48_000, "n_test": 2_000, "d": 64, "num_classes": 4}
+        assert len(learner._fill_chunks(50_000, 64, 3)) == 3  # a parallel build
+        cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
+        written = []
+        for threads in ("1", "3"):
+            assert cli.main(["--threads", threads, "simulate", "--config", cfg_path]) == 0
+            written.append((tmp_path / "out" / "metrics.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_dump_flags_emit_csvs(self, tmp_path):
         cfg_path = fast_config(tmp_path)

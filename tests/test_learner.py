@@ -83,6 +83,31 @@ def oracle_gradient(model, x, y):
 B = learner._BLOCK_ROWS
 # Below one block, an exact multiple of it, and one row past a multiple.
 BLOCK_SIZES = [B // 3, 2 * B, 2 * B + 1, 6 * B + 1]
+# Rows of width FILL_D just below and at the two-chunk fill threshold, and
+# one row past four chunks' worth.
+FILL_D = 64
+FILL_ROWS = [2 * learner._MIN_CHUNK // FILL_D - 1, 2 * learner._MIN_CHUNK // FILL_D,
+             4 * learner._MIN_CHUNK // FILL_D + 1]
+
+
+class InlinePool:
+    """A ThreadPoolExecutor stand-in that records its workers and starts no thread."""
+
+    def __init__(self, started):
+        self.started = started
+
+    def __call__(self, workers):
+        self.started.append(workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestMakeSynthetic:
@@ -94,14 +119,56 @@ class TestMakeSynthetic:
         assert np.array_equal(ds.features, features)
         assert np.array_equal(ds.labels, labels)
 
+    @pytest.mark.parametrize("n", FILL_ROWS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threads_bit_identical_to_one_shot_oracle(self, n, seed):
+        features, labels = oracle_synthetic(10, n, FILL_D, 4.0, seed)
+        for threads in (1, 2, 3, 4):
+            ds = learner.make_synthetic(10, n, FILL_D, 4.0, seed, threads=threads)
+            assert np.array_equal(ds.features, features), threads
+            assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("factor", [
+        0.997,  # chunks start thousands of normals early: shifted left
+        1.003,  # and late: shifted right, their heads from the chunk before
+        1.1,  # so far off that no window is found: drawn on sequentially
+    ])
+    def test_misplaced_chunk_starts_keep_the_bits(self, monkeypatch, factor):
+        n = FILL_ROWS[-1]
+        features, _ = oracle_synthetic(10, n, FILL_D, 4.0, 5)
+        monkeypatch.setattr(learner, "_RAW_PER_NORMAL", learner._RAW_PER_NORMAL * factor)
+        ds = learner.make_synthetic(10, n, FILL_D, 4.0, 5, threads=4)
+        assert np.array_equal(ds.features, features)
+
+    def test_fill_chunks_capped_without_starting_threads(self, monkeypatch):
+        chunks = learner._fill_chunks(70_000, 784, 10**6)
+        assert len(chunks) == 70_000 * 784 // learner._MIN_CHUNK == 52
+        assert chunks[0][0] == 0 and chunks[-1][1] == 70_000
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        assert len(learner._fill_chunks(3, 2**30, 10**6)) == 3  # one row each at most
+        assert learner._fill_chunks(FILL_ROWS[0], FILL_D, 10**6) == [(0, FILL_ROWS[0])]
+        started = []
+        monkeypatch.setattr(learner, "ThreadPoolExecutor", InlinePool(started))
+        n = FILL_ROWS[-1]
+        ds = learner.make_synthetic(10, n, FILL_D, 4.0, 6, threads=10**6)
+        assert started == [len(learner._fill_chunks(n, FILL_D, 10**6))] == [4]
+        assert np.array_equal(ds.features, oracle_synthetic(10, n, FILL_D, 4.0, 6)[0])
+        learner.make_synthetic(10, FILL_ROWS[0], FILL_D, 4.0, 6, threads=10**6)
+        assert started == [4]  # one chunk: drawn inline, no pool
+
+    def test_rejects_threads_below_one(self):
+        with pytest.raises(UsageError, match="threads"):
+            learner.make_synthetic(10, 100, 8, 4.0, 0, threads=0)
+
     def test_peak_memory_is_one_feature_array(self):
-        tracemalloc.start()
-        try:
-            ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.15 * ds.features.nbytes
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4, threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.15 * ds.features.nbytes, threads
 
     def test_seed_determinism(self):
         a = learner.make_synthetic(5, 100, 8, 2.0, seed=3)
@@ -133,7 +200,7 @@ class TestMnistIdx:
         img = tmp_path / "img"
         lab = tmp_path / "lab"
         data = struct.pack(">IIII", img_magic, n, rows, cols)
-        data += bytes(range(n * rows * cols))
+        data += bytes(i % 256 for i in range(n * rows * cols))
         img.write_bytes(data[: len(data) - truncate])
         lab.write_bytes(struct.pack(">II", lab_magic, n_labels)
                         + bytes([i % 10 for i in range(n_labels)]))
@@ -145,6 +212,18 @@ class TestMnistIdx:
         assert ds.n == 4 and ds.d == 6
         assert ds.features.max() <= 1.0 and ds.features.min() >= 0.0
         assert set(np.unique(ds.labels)) <= set(range(10))
+
+    def test_peak_memory_is_one_feature_array(self, tmp_path):
+        img, lab = self.write_idx(tmp_path, n=500, rows=28, cols=28)
+        tracemalloc.start()
+        try:
+            ds = learner.load_mnist_idx(img, lab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pixels = np.arange(500 * 28 * 28).reshape(500, 784) % 256
+        assert np.array_equal(ds.features, pixels.astype(np.float64) / 255.0)
+        assert peak <= 1.3 * ds.features.nbytes  # the raw bytes, and no second array
 
     def test_bad_magic(self, tmp_path):
         img, lab = self.write_idx(tmp_path, img_magic=0x123)
