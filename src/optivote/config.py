@@ -2,11 +2,14 @@
 
 A run is fully described by one JSON file; unknown keys are rejected and
 every applied default survives a round trip through the resolved config
-written next to the outputs.  Every range check lives here, once, and a
-bad value fails with its dotted key (``power.rho: Input should be greater
-than or equal to 0``).  ``ChannelConfig`` and ``PowerConfig`` are also the
-parameter types of the channel and power layers: the channel section takes
-kilometers and nanometers, and the samplers read its SI properties.
+written next to the outputs.  Every range check of a run lives here, once,
+including the rule that a ``theorem1`` step size is positive, and a bad
+value fails with its dotted key (``power.rho: Input should be greater than
+or equal to 0``).  The library functions a run calls take these validated
+values and do not check them again.  ``ChannelConfig`` and ``PowerConfig``
+are also the parameter types of the channel and power layers: the channel
+section takes kilometers and nanometers, and the samplers read its SI
+properties.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ from typing import Literal, Optional
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from . import channel as ch
+from . import theory
 from .errors import ConfigError
 
 SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
@@ -155,6 +159,9 @@ class RunConfig(_Strict):
             raise ValueError("run.m must satisfy 1 <= m <= M")
         if (self.lr == "theorem1") != (self.L1_estimate is not None):
             raise ValueError("run.lr / run.L1_estimate: set L1_estimate exactly when lr = 'theorem1'")
+        if self.lr == "theorem1" and not theory.theorem1_eta(self.L1_estimate, self.d_b) > 0:
+            raise ValueError("run.lr / run.L1_estimate / run.d_b: the theorem1 step "
+                             "1 / sqrt(L1_estimate * d_b) is not positive")
         return self
 
 

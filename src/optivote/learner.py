@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, NumericError, UsageError
+from .errors import FormatError, UsageError
 
 
 @dataclass
@@ -92,8 +92,6 @@ def make_synthetic(
     overlap.  If no window is found, the rest is drawn on from the last exact
     generator.  Memory: the (n, d) features, _BLOCK_ROWS rows, an overlap per chunk.
     """
-    if min(num_classes, n, d, threads) < 1:
-        raise UsageError("num_classes, n, d and threads must all be >= 1")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
@@ -186,47 +184,41 @@ def partition(
     node sees at most ``labels_per_node`` distinct labels.  Partitions are
     disjoint; any remainder is dropped.
     """
-    if num_nodes < 1:
-        raise UsageError("num_nodes must be >= 1")
     rng = np.random.default_rng(seed)
     if mode == "iid":
         idx = rng.permutation(dataset.n)
         per = dataset.n // num_nodes
         return [idx[k * per : (k + 1) * per] for k in range(num_nodes)]
-    if mode == "noniid":
-        if labels_per_node < 1:
-            raise UsageError("labels_per_node must be >= 1")
-        # Build num_nodes * labels_per_node single-label shards (shard
-        # counts per label proportional to label frequency, largest
-        # remainder), then hand each node labels_per_node shards at
-        # random.  Every shard is pure, so a node sees at most
-        # labels_per_node distinct labels.
-        num_shards = num_nodes * labels_per_node
-        classes, counts = np.unique(dataset.labels, return_counts=True)
-        quota = counts * num_shards / dataset.n
-        slots = np.floor(quota).astype(int)
-        short = num_shards - int(slots.sum())
-        if short > 0:
-            extra = np.argsort(-(quota - np.floor(quota)), kind="stable")[:short]
-            slots[extra] += 1
-        if num_shards >= len(classes):
-            # Keep every label represented so the partition covers the
-            # dataset; steal slots from the most-sharded labels if needed.
-            while np.any(slots == 0):
-                slots[int(np.argmax(slots))] -= 1
-                slots[int(np.argmin(slots))] += 1
-        shards: list[np.ndarray] = []
-        for c, k in zip(classes, slots):
-            if k == 0:
-                continue
-            pool = rng.permutation(np.flatnonzero(dataset.labels == c))
-            shards.extend(np.array_split(pool, k))
-        assign = rng.permutation(len(shards))
-        return [
-            np.concatenate([shards[s] for s in assign[k * labels_per_node : (k + 1) * labels_per_node]])
-            for k in range(num_nodes)
-        ]
-    raise UsageError(f"unknown partition mode {mode!r}")
+    # "noniid": build num_nodes * labels_per_node single-label shards (shard
+    # counts per label proportional to label frequency, largest
+    # remainder), then hand each node labels_per_node shards at
+    # random.  Every shard is pure, so a node sees at most
+    # labels_per_node distinct labels.
+    num_shards = num_nodes * labels_per_node
+    classes, counts = np.unique(dataset.labels, return_counts=True)
+    quota = counts * num_shards / dataset.n
+    slots = np.floor(quota).astype(int)
+    short = num_shards - int(slots.sum())
+    if short > 0:
+        extra = np.argsort(-(quota - np.floor(quota)), kind="stable")[:short]
+        slots[extra] += 1
+    if num_shards >= len(classes):
+        # Keep every label represented so the partition covers the
+        # dataset; steal slots from the most-sharded labels if needed.
+        while np.any(slots == 0):
+            slots[int(np.argmax(slots))] -= 1
+            slots[int(np.argmin(slots))] += 1
+    shards: list[np.ndarray] = []
+    for c, k in zip(classes, slots):
+        if k == 0:
+            continue
+        pool = rng.permutation(np.flatnonzero(dataset.labels == c))
+        shards.extend(np.array_split(pool, k))
+    assign = rng.permutation(len(shards))
+    return [
+        np.concatenate([shards[s] for s in assign[k * labels_per_node : (k + 1) * labels_per_node]])
+        for k in range(num_nodes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +251,6 @@ class Model:
 
 def _widths(arch: str, d: int, num_classes: int, hidden: int) -> list[int]:
     """Layer widths from input to output; only the mlp has a hidden layer."""
-    if arch not in ("logistic", "mlp"):
-        raise UsageError(f"unknown arch {arch!r}")
-    if arch == "mlp" and hidden < 1:
-        raise UsageError("mlp needs hidden >= 1")
     return [d, hidden, num_classes] if arch == "mlp" else [d, num_classes]
 
 
@@ -323,9 +311,6 @@ def local_gradient(
     copy of the model by apply_update(eta) along each gradient but the last,
     and returns the sum of the gradients (the plain gradient for one step).
     """
-    indices = np.asarray(indices)
-    if batch_size < 1 or local_steps < 1 or len(indices) == 0:
-        raise UsageError("need batch_size >= 1, local_steps >= 1 and a nonempty shard")
     for step in range(local_steps):
         if step:
             model = apply_update(model, g, eta)
@@ -337,19 +322,11 @@ def local_gradient(
 
 def sign_quantize(g: np.ndarray) -> np.ndarray:
     """Per-coordinate sign over {-1, +1} of a vector or matrix; sign(0) = +1."""
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NumericError("gradient is not finite")
     return np.where(g >= 0.0, 1, -1).astype(np.int8)
 
 
 def apply_update(model: Model, direction: np.ndarray, eta: float) -> Model:
     """w <- w - eta * v: the descent step along a vote or an aggregated gradient."""
-    direction = np.asarray(direction, dtype=float)
-    if eta <= 0:
-        raise UsageError("eta must be positive")
-    if direction.shape != model.w.shape:
-        raise UsageError("update direction length must match the model")
     return replace(model, w=model.w - eta * direction)
 
 

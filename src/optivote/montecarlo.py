@@ -66,8 +66,6 @@ def verify_energy_means(
     seed: int = 0,
 ) -> list[McReport]:
     """Empirical slot-energy means for a fixed vote split vs. closed form."""
-    if samples < 10_000:
-        raise UsageError("need at least 1e4 samples")
     th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
@@ -94,11 +92,6 @@ def verify_energy_means(
             )
         )
     return reports
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
 
 
 # Elements (rows * M) per block of the cohort kernel: each of a block's
@@ -187,7 +180,6 @@ def _simulate_flips(
     Returns (flip indicator per sample, for each variance; correct-vote
     count per sample).
     """
-    _check_threads(threads)
     e_plus, e_minus, n_plus = _cohort_sums(M, q_i, params, samples, rng, threads)
     z_plus = rng.standard_normal(samples)
     z_minus = rng.standard_normal(samples)
@@ -211,10 +203,6 @@ def verify_error_bounds(
     The variances share one cohort draw (see ``_simulate_flips``), so their
     reports are correlated, not independent.
     """
-    if not (0.0 < q_i < 0.5):
-        raise UsageError("q_i must lie in (0, 1/2)")
-    if samples < 10_000:
-        raise UsageError("need at least 1e4 samples")
     rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
     all_flips, _ = _simulate_flips(M, q_i, params, noise_variances, samples, rng, threads)
     reports = []
@@ -252,8 +240,6 @@ def verify_q_bound(
     g_abs: float, alpha: float, d_b: int, samples: int, seed: int = 0
 ) -> McReport:
     """Empirical Gaussian sign-flip rate vs. the Gauss-inequality bound."""
-    if alpha <= 0:
-        raise UsageError("alpha must be positive")
     bound = theory.q_bound(g_abs, alpha, d_b)
     rng = derive(seed, TAG_MC, 3, d_b)
     noisy = g_abs + rng.normal(0.0, alpha / np.sqrt(d_b), size=samples)
@@ -279,8 +265,6 @@ def verify_corollary1(
     threads: int = 1,
 ) -> McReport:
     """Conditional flip rate given a realized strict +1 majority must be < 1/2."""
-    if not (0.0 <= q_i < 0.5):
-        raise UsageError("q_i must be below 1/2")
     rng = derive(seed, TAG_MC, 4, M)
     (flips,), n_plus = _simulate_flips(M, q_i, params, [params.sigma_n2], samples, rng, threads)
     majority = n_plus > M / 2
@@ -317,7 +301,6 @@ def run_default_suite(
     """
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
-    _check_threads(threads)
     reports: list[McReport] = []
 
     params = unit_channel(xi_snr=1.0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import channel as ch
 from . import learner, phy, power, theory
 from .config import Config, config_hash, resolved_json
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, NumericError
 from .rng import TAG_CHANNEL, TAG_DATA, TAG_GRADIENT, TAG_NOISE, TAG_SELECT, derive
 
 
@@ -48,8 +48,6 @@ class RunSummary:
 
 def select_active(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of m distinct node ids."""
-    if not (1 <= m <= M):
-        raise UsageError("require 1 <= m <= M")
     return np.sort(rng.choice(M, size=m, replace=False))
 
 
@@ -64,9 +62,6 @@ def aggregate_fedavg_air(
 
     No CSI inversion is applied, so heterogeneous fading biases the mean.
     """
-    gradients = np.asarray(gradients, dtype=float)
-    if gradients.ndim != 2 or len(gradients) < 1:
-        raise UsageError("gradients must be a nonempty (m, q) matrix")
     m, q = gradients.shape
     weights = np.asarray(powers, dtype=float) * np.asarray(intensities, dtype=float)
     agg = (weights[:, None] * gradients).sum(axis=0) / m
@@ -131,7 +126,7 @@ def _vote_error_free(up: _Uplink):
 
 
 def _analog_over_air(up: _Uplink):
-    # Unlike sign_quantize, the detector lets a NaN aggregate through to run's guard.
+    # A NaN aggregate votes -1 here; run's guard on the stepped model reports it.
     agg = aggregate_fedavg_air(
         up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
     return agg, phy.detect_mv(agg, 0.0), None
@@ -220,7 +215,7 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
         write_metrics = _csv(files, staging / "metrics.csv", METRICS_HEADER)
         write_power = _csv(files, staging / "power.csv", "round,node_id,p,a",
                            cfg.output.dump_power)
-        write_slots = _csv(files, staging / "slots.csv", "round,coord,e_plus,e_minus,delta",
+        write_slots = _csv(files, staging / "slots.csv", "round,coord,e_plus,e_minus",
                            cfg.output.dump_slots)
 
         for n in range(rc.rounds):
@@ -257,7 +252,7 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
             _require_finite(n, "the model after the step", model.w)
             if slots is not None:
                 e_plus, e_minus = slots
-                write_slots(zip(repeat(n), range(model.q), e_plus, e_minus, e_plus - e_minus))
+                write_slots(zip(repeat(n), range(model.q), e_plus, e_minus))
 
             train_loss, test_acc = learner.evaluate(model, train, test)
             _require_finite(n, "the training loss", train_loss)

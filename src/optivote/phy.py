@@ -13,8 +13,6 @@ Symbol energy E_s and receiver gain C_R are fixed to 1.
 
 import numpy as np
 
-from .errors import UsageError
-
 
 def received(signal: np.ndarray, sigma_n2: float, z: np.ndarray) -> np.ndarray:
     """``signal`` plus the noise floor sigma_n2 plus N(0, sigma_n2) from standard
@@ -39,14 +37,6 @@ def superpose_frame(
     negative under the fluctuation, which detection tolerates.  A noiseless
     link (sigma_n2 = 0) draws nothing.  Returns (e_plus, e_minus), each (q,).
     """
-    signs = np.asarray(signs)
-    if signs.ndim != 2:
-        raise UsageError("signs must be a (nodes, coords) matrix")
-    m = signs.shape[0]
-    powers = np.asarray(powers, dtype=float)
-    intensities = np.asarray(intensities, dtype=float)
-    if powers.shape != (m,) or intensities.shape != (m,):
-        raise UsageError("powers and intensities must match the node axis")
     amp = (powers * intensities)[:, None]
     e_plus = (amp * (signs == 1)).sum(axis=0)
     e_minus = (amp * (signs == -1)).sum(axis=0)

@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UsageError
-
 if TYPE_CHECKING:
     from .config import PowerConfig
 
@@ -37,15 +35,11 @@ class PowerState:
 def consistency_score(local_signs: np.ndarray, mv_prev: np.ndarray) -> np.ndarray:
     """Fraction of coordinates where a sign vector, or each row of a sign
     matrix, matches the prior MV."""
-    local_signs = np.asarray(local_signs)
-    mv_prev = np.asarray(mv_prev)
-    if mv_prev.ndim != 1 or local_signs.shape[-1:] != mv_prev.shape or mv_prev.size == 0:
-        raise UsageError("sign vectors must be nonempty and equal length")
     return np.mean(local_signs == mv_prev, axis=-1)
 
 
 def update_powers(
-    state: PowerState, params: "PowerConfig", active: np.ndarray | None = None
+    state: PowerState, params: "PowerConfig", active: np.ndarray
 ) -> PowerState:
     """One projected recursion step over all M nodes.
 
@@ -55,9 +49,7 @@ def update_powers(
     """
     a = state.a
     if params.abar_scope == "active":
-        if active is None or len(active) == 0:
-            raise UsageError("abar_scope='active' requires a nonempty active set")
-        a_bar = float(np.mean(a[np.asarray(active)]))
+        a_bar = float(np.mean(a[active]))
     else:
         a_bar = float(np.mean(a))
     p_new = np.clip(state.p + params.rho * (a - a_bar), params.p_min, params.p_max)

@@ -1,8 +1,9 @@
 """Closed-form evaluation of the moment, error-probability, and
 convergence results for energy-detected majority voting.
 
-All functions are pure and raise on arguments outside their documented
-domain instead of returning sentinels.
+All functions are pure.  Those the theory and sweep commands reach raise on
+arguments outside their documented domain instead of returning sentinels;
+theorem1_eta takes run's validated L1_estimate and d_b.
 """
 
 import math
@@ -106,6 +107,4 @@ def convergence_bound(M: int, xi_snr: float, L1: float, gap: float,
 
 def theorem1_eta(L1: float, d_b: int) -> float:
     """Learning-rate schedule eta = 1 / sqrt(L1 * d_b)."""
-    if L1 <= 0 or d_b < 1:
-        raise UsageError("L1 must be positive and d_b >= 1")
     return 1.0 / math.sqrt(L1 * d_b)

@@ -204,7 +204,7 @@ def test_criterion_08_power_control_invariants():
         state.a[:] = rng.random(20)
         raw_step = params.rho * (state.a - state.a.mean())
         neutral &= abs(raw_step.sum()) <= 1e-9
-        state = power.update_powers(state, params)
+        state = power.update_powers(state, params, active=np.arange(20))
         in_bounds &= bool(np.all((state.p >= params.p_min - 1e-12)
                                  & (state.p <= params.p_max + 1e-12)))
 

@@ -247,7 +247,7 @@ class TestCliSimulate:
         assert power[0] == "round,node_id,p,a"
         assert len(power) == 1 + 3 * 6  # rounds * M
         slots = (tmp_path / "out" / "slots.csv").read_text().strip().split("\n")
-        assert slots[0] == "round,coord,e_plus,e_minus,delta"
+        assert slots[0] == "round,coord,e_plus,e_minus"
 
     def test_rerun_replaces_files(self, tmp_path):
         cfg_path = fast_config(tmp_path)
@@ -294,6 +294,18 @@ class TestCliSimulate:
          "learner.partition.labels_per_node: Input should be greater than or equal to 1"),
         ("learner.dataset.n_test", "0",
          "learner.dataset.n_test: Input should be greater than or equal to 1"),
+        ("learner.dataset.n", "0", "learner.dataset.n: Input should be greater than or equal to 1"),
+        ("learner.dataset.d", "0", "learner.dataset.d: Input should be greater than or equal to 1"),
+        ("learner.dataset.num_classes", "0",
+         "learner.dataset.num_classes: Input should be greater than or equal to 1"),
+        ("learner.partition.mode", '"bogus"',
+         "learner.partition.mode: Input should be 'iid' or 'noniid'"),
+        ("learner.model.arch", '"cnn"', "learner.model.arch: Input should be 'logistic' or 'mlp'"),
+        ("run.m", "0", "run.m must satisfy 1 <= m <= M"),
+        ("run.m", "7", "run.m must satisfy 1 <= m <= M"),  # run.M is 6
+        ("run.d_b", "0", "run.d_b: Input should be greater than or equal to 1"),
+        # 1e308 * d_b overflows, so the step 1 / sqrt(L1_estimate * d_b) is 0.
+        ("run.L1_estimate", "1e308", "run.lr / run.L1_estimate / run.d_b: the theorem1 step"),
     ])
     def test_bad_value_exits_one_before_data_build(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optivote import learner
-from optivote.errors import FormatError, NumericError, UsageError
+from optivote.errors import FormatError
 
 
 def train_sgd(model, ds, steps, lr, batch=64, seed=1):
@@ -156,10 +156,6 @@ class TestMakeSynthetic:
         learner.make_synthetic(10, FILL_ROWS[0], FILL_D, 4.0, 6, threads=10**6)
         assert started == [4]  # one chunk: drawn inline, no pool
 
-    def test_rejects_threads_below_one(self):
-        with pytest.raises(UsageError, match="threads"):
-            learner.make_synthetic(10, 100, 8, 4.0, 0, threads=0)
-
     def test_peak_memory_is_one_feature_array(self):
         for threads in (1, 2):
             tracemalloc.start()
@@ -269,11 +265,6 @@ class TestPartition:
             union = np.concatenate(shards)
             assert len(union) == len(np.unique(union))
 
-    def test_rejects_bad_labels_per_node(self):
-        ds = learner.make_synthetic(10, 100, 4, 1.0, seed=0)
-        with pytest.raises(UsageError):
-            learner.partition(ds, 4, "noniid", seed=0, labels_per_node=0)
-
 
 class TestGradient:
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
@@ -346,21 +337,6 @@ class TestGradient:
         assert np.array_equal(got, want)
         assert np.array_equal(model.w, learner.Model.init(arch, 6, 4, hidden=5, seed=4).w)
 
-    def test_local_steps_reject_non_positive_eta(self):
-        # A second local step with eta = 0 would step nowhere.
-        ds = learner.make_synthetic(3, 50, 4, 2.0, seed=2)
-        model = learner.Model.init("logistic", 4, 3, seed=1)
-        with pytest.raises(UsageError, match="eta"):
-            learner.local_gradient(model, ds, np.arange(5), 8,
-                                   np.random.default_rng(0), local_steps=2, eta=0.0)
-
-    def test_rejects_zero_local_steps(self):
-        ds = learner.make_synthetic(3, 50, 4, 2.0, seed=2)
-        model = learner.Model.init("logistic", 4, 3, seed=1)
-        with pytest.raises(UsageError, match="local_steps"):
-            learner.local_gradient(model, ds, np.arange(5), 8,
-                                   np.random.default_rng(0), local_steps=0)
-
 
 class TestSignQuantize:
     def test_zero_maps_to_plus_one(self):
@@ -372,15 +348,6 @@ class TestSignQuantize:
 
     def test_all_negative(self):
         assert (learner.sign_quantize(-np.ones(5)) == -1).all()
-
-    def test_nan_raises(self):
-        with pytest.raises(NumericError):
-            learner.sign_quantize(np.array([1.0, np.nan]))
-
-    @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_inf_raises(self, value):
-        with pytest.raises(NumericError, match="not finite"):
-            learner.sign_quantize(np.array([1.0, value]))
 
 
 class TestMvUpdate:
@@ -400,13 +367,6 @@ class TestMvUpdate:
         v = learner.sign_quantize(np.random.default_rng(2).normal(size=model.q))
         updated = learner.apply_update(model, v, 0.02)
         assert np.linalg.norm(updated.w - model.w) == pytest.approx(0.02 * np.sqrt(model.q))
-
-    def test_rejects_non_positive_eta_and_wrong_length(self):
-        model = learner.Model.init("logistic", 3, 2, seed=0)
-        with pytest.raises(UsageError, match="eta"):
-            learner.apply_update(model, np.ones(model.q), 0.0)
-        with pytest.raises(UsageError, match="length"):
-            learner.apply_update(model, np.ones(model.q + 1), 0.1)
 
 
 class TestWholeCohort:

@@ -11,7 +11,7 @@ import pytest
 
 from optivote import learner, orchestrator as orch
 from optivote.config import SCHEMES, load_config
-from optivote.errors import ConfigError, NumericError, UsageError
+from optivote.errors import ConfigError, NumericError
 from optivote.rng import TAG_DATA, derive
 
 from conftest import UNIT_CFSPL
@@ -61,12 +61,6 @@ class TestSelectActive:
         se = np.sqrt(p * (1 - p) * trials)
         assert np.all(np.abs(counts - p * trials) <= 4 * se)
 
-    def test_rejects_bad_m(self):
-        with pytest.raises(UsageError):
-            orch.select_active(4, 5, derive(0, 9))
-        with pytest.raises(UsageError):
-            orch.select_active(4, 0, derive(0, 9))
-
 
 class TestAggregateFedavgAir:
     def test_noiseless_weighted_mean(self):
@@ -84,11 +78,6 @@ class TestAggregateFedavgAir:
         agg = orch.aggregate_fedavg_air(
             grads, np.ones(2), np.array([1.0, 3.0]), 0.0, derive(0, 9))
         assert agg[0] == pytest.approx(-1.0)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(UsageError):
-            orch.aggregate_fedavg_air(np.ones(3), np.ones(3), np.ones(3),
-                                      0.0, derive(0, 9))
 
 
 class TestBuildData:
@@ -196,8 +185,8 @@ class TestRun:
         orch.run(cfg)
         q = learner.Model.init("logistic", 10, 4).q
         rows = read_dump("slots.csv")
-        assert len(rows) == 2 * q
-        assert rows[:, 4] == pytest.approx(rows[:, 2] - rows[:, 3])
+        assert rows.shape == (2 * q, 4)  # round, coord, e_plus, e_minus
+        assert rows[:, 1].tolist() == [*range(q)] * 2
 
     def test_dumped_run_memory_does_not_grow_with_rounds(self):
         # Dump rows go to disk as each round finishes: the traced peak of a
