@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +103,7 @@ THEORY_FLAGS = {
     "theta": (float, 1.0), "p_avg": (float, 1.0), "lam": (float, 1.0),
     "p_err": (float, 0.0), "L1": (float, 1.0), "gap": (float, 1.0),
     "sigma_l1": (float, 1.0), "N": (int, 100), "gamma": (int, 1),
-    **{name: (float, f.default) for name, f in ChannelConfig.model_fields.items()},
+    **{f.name: (float, f.default) for f in fields(ChannelConfig)},
 }
 
 
@@ -171,10 +171,10 @@ def _cmd_verify(args, extras) -> int:
 
 def _cmd_partition_inspect(args, extras) -> int:
     cfg = _load_run_config(args, extras)
-    train, _, shards = orchestrator.build_data(cfg, threads=args.threads)
+    train_labels, shards = orchestrator.train_shards(cfg)
     info = []
     for node, idx in enumerate(shards):
-        labels, counts = np.unique(train.labels[idx], return_counts=True)
+        labels, counts = np.unique(train_labels[idx], return_counts=True)
         info.append({
             "node": node,
             "samples": int(len(idx)),

@@ -15,11 +15,11 @@ properties.
 import hashlib
 import json
 import math
+import operator
 import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Literal, Optional
-
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
+from typing import Literal, Optional, Union, get_args, get_origin
 
 from . import channel as ch
 from . import theory
@@ -27,23 +27,99 @@ from .errors import ConfigError
 
 SCHEMES = ("optivote", "optivote_fixed_power", "ideal_mv", "fedavg_air")
 
-
-class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid", allow_inf_nan=False, frozen=True)
-
-    def model_copy(self, *, update: dict | None = None):
-        """A copy with ``update`` applied, validated as ``load_config`` validates."""
-        return self.model_validate({**self.model_dump(), **(update or {})})
+_BOUNDS = {"gt": ("greater than", operator.gt), "ge": ("greater than or equal to", operator.ge),
+           "le": ("less than or equal to", operator.le)}
+_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
-class ChannelConfig(_Strict):
-    d_min_km: float = Field(500.0, gt=0)
+def _field(default, **bounds):
+    """A field with its range as ``gt``/``ge``/``le`` bounds, checked when set."""
+    return field(default=default, metadata=bounds)
+
+
+def _checked(f, value, key: str):
+    """``value`` as field ``f`` holds it: an int widened for a float field,
+    a dict built into its section; ``ConfigError`` naming ``key`` if it does
+    not fit the field's type or range."""
+    kind = f.type
+    if get_origin(kind) is Union:  # Optional[kind]
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if isinstance(kind, type) and issubclass(kind, _Section):
+        return value if isinstance(value, kind) else _build(kind, value)
+    if get_origin(kind) is Literal:
+        if value not in get_args(kind):
+            *rest, last = map(repr, get_args(kind))
+            raise ConfigError(f"{key}: Input should be {', '.join(rest)} or {last}")
+        return value
+    if kind in (int, float) and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: Input should be a finite number")
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            raise ConfigError(f"{key}: Input should be a finite number") from None
+    if type(value) is not kind:
+        raise ConfigError(f"{key}: Input should be a valid {_KINDS[kind]}")
+    for name, bound in f.metadata.items():
+        words, holds = _BOUNDS[name]
+        if not holds(value, bound):
+            raise ConfigError(f"{key}: Input should be {words} {bound}")
+    return value
+
+
+def _build(cls, data):
+    """The section ``cls`` from a raw dict; every error of the dict's tree in one ``ConfigError``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls._key or '<root>'}: Input should be a valid dictionary "
+                          f"or instance of {cls.__name__}")
+    names = {f.name for f in fields(cls)}
+    errors = [f"{cls._key}.{k}".lstrip(".") + ": Extra inputs are not permitted"
+              for k in data if k not in names]
+    try:
+        section = cls(**{k: v for k, v in data.items() if k in names})
+    except ConfigError as err:
+        errors.insert(0, str(err))
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return section
+
+
+class _Section:
+    """A frozen config section: each field is checked against its type and
+    range whenever one is made (``load_config``, direct construction or
+    ``dataclasses.replace``), then the section's cross-field ``_check``."""
+
+    _key = ""  # the section's dotted path in a config
+
+    def __post_init__(self):
+        errors = []
+        for f in fields(self):
+            try:
+                value = _checked(f, getattr(self, f.name), f"{self._key}.{f.name}".lstrip("."))
+            except ConfigError as err:
+                errors.append(str(err))
+            else:  # the value widened or built into its section
+                object.__setattr__(self, f.name, value)
+        if errors:
+            raise ConfigError("; ".join(errors))
+        self._check()
+
+    def _check(self):
+        pass
+
+
+@dataclass(frozen=True)
+class ChannelConfig(_Section):
+    _key = "channel"
+    d_min_km: float = _field(500.0, gt=0)
     d_max_km: float = 2000.0
-    lambda_opt_nm: Optional[float] = Field(None, gt=0)  # 1550 when c_fspl is unset
-    a0: float = Field(0.9, gt=0, le=1)
-    xi_p: float = Field(1.5, gt=0)
-    sigma_n2: float = Field(0.1, ge=0)
-    c_fspl: Optional[float] = Field(None, gt=0)  # C_FSPL in place of the wavelength's
+    lambda_opt_nm: Optional[float] = _field(None, gt=0)  # 1550 when c_fspl is unset
+    a0: float = _field(0.9, gt=0, le=1)
+    xi_p: float = _field(1.5, gt=0)
+    sigma_n2: float = _field(0.1, ge=0)
+    c_fspl: Optional[float] = _field(None, gt=0)  # C_FSPL in place of the wavelength's
 
     @property
     def d_min(self) -> float:  # meters
@@ -60,53 +136,47 @@ class ChannelConfig(_Strict):
             return self.c_fspl
         return (self.lambda_opt_nm * 1e-9 / (4.0 * math.pi)) ** 2
 
-    @model_validator(mode="before")
-    @classmethod
-    def _default_wavelength(cls, data):
-        if isinstance(data, dict) and data.get("c_fspl") is None \
-                and data.get("lambda_opt_nm") is None:
-            data = {**data, "lambda_opt_nm": 1550.0}
-        return data
-
-    @model_validator(mode="after")
     def _check(self):
+        if self.c_fspl is None and self.lambda_opt_nm is None:
+            object.__setattr__(self, "lambda_opt_nm", 1550.0)
         if self.lambda_opt_nm is not None and self.c_fspl is not None:
-            raise ValueError("channel.lambda_opt_nm / channel.c_fspl: set one of the two")
+            raise ConfigError("channel.lambda_opt_nm / channel.c_fspl: set one of the two")
         if not self.d_min_km < self.d_max_km:
-            raise ValueError("channel.d_min_km / channel.d_max_km: require d_min_km < d_max_km")
+            raise ConfigError("channel.d_min_km / channel.d_max_km: require d_min_km < d_max_km")
         try:
             lam = ch.lambda_eff(self)
         except ArithmeticError:  # a power overflowed or the shell volume underflowed
             lam = math.nan
         if not 0 < lam < math.inf:
             fspl = "channel.lambda_opt_nm" if self.c_fspl is None else "channel.c_fspl"
-            raise ValueError(f"channel.d_min_km / channel.d_max_km / channel.a0 / channel.xi_p"
-                             f" / {fspl}: lambda_eff = {lam} is not a positive finite number")
-        return self
+            raise ConfigError(f"channel.d_min_km / channel.d_max_km / channel.a0 / channel.xi_p"
+                              f" / {fspl}: lambda_eff = {lam} is not a positive finite number")
 
 
-class PowerConfig(_Strict):
+@dataclass(frozen=True)
+class PowerConfig(_Section):
+    _key = "power"
     p_avg: float = 1.0
-    p_min: float = Field(0.1, gt=0)
+    p_min: float = _field(0.1, gt=0)
     p_max: float = 2.0
-    rho: float = Field(0.05, ge=0)
+    rho: float = _field(0.05, ge=0)
     abar_scope: Literal["all", "active"] = "all"
 
-    @model_validator(mode="after")
     def _check(self):
         if not self.p_min <= self.p_avg <= self.p_max:
-            raise ValueError("power.p_min / power.p_avg / power.p_max: "
-                             "require p_min <= p_avg <= p_max")
-        return self
+            raise ConfigError("power.p_min / power.p_avg / power.p_max: "
+                              "require p_min <= p_avg <= p_max")
 
 
-class DatasetConfig(_Strict):
+@dataclass(frozen=True)
+class DatasetConfig(_Section):
+    _key = "learner.dataset"
     type: Literal["synthetic", "mnist"] = "synthetic"
     # synthetic
-    num_classes: int = Field(10, ge=1)
-    n: int = Field(2000, ge=1)
-    n_test: int = Field(500, ge=1)
-    d: int = Field(20, ge=1)
+    num_classes: int = _field(10, ge=1)
+    n: int = _field(2000, ge=1)
+    n_test: int = _field(500, ge=1)
+    d: int = _field(20, ge=1)
     separation: float = 4.0
     # mnist (IDX paths)
     train_images: Optional[str] = None
@@ -114,83 +184,82 @@ class DatasetConfig(_Strict):
     test_images: Optional[str] = None
     test_labels: Optional[str] = None
 
-    @model_validator(mode="after")
     def _check(self):
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             path = getattr(self, key)
             if self.type == "mnist" and not os.path.isfile(path or ""):
-                raise ValueError(f"learner.dataset.{key}: mnist needs an IDX file, got {path!r}")
+                raise ConfigError(f"learner.dataset.{key}: mnist needs an IDX file, got {path!r}")
             if self.type == "synthetic" and path is not None:
-                raise ValueError(f"learner.dataset.type / learner.dataset.{key}: unused by synthetic")
-        return self
+                raise ConfigError(f"learner.dataset.type / learner.dataset.{key}: "
+                                  "unused by synthetic")
 
 
-class ModelConfig(_Strict):
+@dataclass(frozen=True)
+class ModelConfig(_Section):
+    _key = "learner.model"
     arch: Literal["logistic", "mlp"] = "logistic"
-    hidden: int = Field(32, ge=1)
+    hidden: int = _field(32, ge=1)
 
 
-class PartitionConfig(_Strict):
+@dataclass(frozen=True)
+class PartitionConfig(_Section):
+    _key = "learner.partition"
     mode: Literal["iid", "noniid"] = "iid"
-    labels_per_node: int = Field(2, ge=1)
+    labels_per_node: int = _field(2, ge=1)
 
 
-class LearnerConfig(_Strict):
+@dataclass(frozen=True)
+class LearnerConfig(_Section):
+    _key = "learner"
     dataset: DatasetConfig = DatasetConfig()
     model: ModelConfig = ModelConfig()
     partition: PartitionConfig = PartitionConfig()
-    local_steps: int = Field(1, ge=1)
+    local_steps: int = _field(1, ge=1)
 
 
-class RunConfig(_Strict):
+@dataclass(frozen=True)
+class RunConfig(_Section):
+    _key = "run"
     M: int = 20
     m: int = 4
-    rounds: int = Field(200, ge=0)
-    d_b: int = Field(64, ge=1)
-    eta: float = Field(0.05, gt=0)
+    rounds: int = _field(200, ge=0)
+    d_b: int = _field(64, ge=1)
+    eta: float = _field(0.05, gt=0)
     lr: Literal["constant", "theorem1"] = "constant"
-    L1_estimate: Optional[float] = Field(None, gt=0)
+    L1_estimate: Optional[float] = _field(None, gt=0)
     scheme: Literal[SCHEMES] = "optivote"
-    seed: int = Field(0, ge=0)
+    seed: int = _field(0, ge=0)
 
-    @model_validator(mode="after")
     def _check(self):
         if not (1 <= self.m <= self.M):
-            raise ValueError("run.m must satisfy 1 <= m <= M")
+            raise ConfigError("run.m / run.M: require 1 <= m <= M")
         if (self.lr == "theorem1") != (self.L1_estimate is not None):
-            raise ValueError("run.lr / run.L1_estimate: set L1_estimate exactly when lr = 'theorem1'")
+            raise ConfigError("run.lr / run.L1_estimate: set L1_estimate exactly when lr = 'theorem1'")
         if self.lr == "theorem1" and not theory.theorem1_eta(self.L1_estimate, self.d_b) > 0:
-            raise ValueError("run.lr / run.L1_estimate / run.d_b: the theorem1 step "
-                             "1 / sqrt(L1_estimate * d_b) is not positive")
-        return self
+            raise ConfigError("run.lr / run.L1_estimate / run.d_b: the theorem1 step "
+                              "1 / sqrt(L1_estimate * d_b) is not positive")
 
 
-class OutputConfig(_Strict):
+@dataclass(frozen=True)
+class OutputConfig(_Section):
+    _key = "output"
     dir: str = "out"
     dump_power: bool = False
     dump_slots: bool = False
 
-    @model_validator(mode="after")
     def _check(self):
         nearest = next(p for p in (Path(self.dir), *Path(self.dir).parents) if p.exists())
         if not nearest.is_dir():
-            raise ValueError(f"output.dir: {str(nearest)!r} exists and is not a directory")
-        return self
+            raise ConfigError(f"output.dir: {str(nearest)!r} exists and is not a directory")
 
 
-class Config(_Strict):
+@dataclass(frozen=True)
+class Config(_Section):
     channel: ChannelConfig = ChannelConfig()
     power: PowerConfig = PowerConfig()
     learner: LearnerConfig = LearnerConfig()
     run: RunConfig = RunConfig()
     output: OutputConfig = OutputConfig()
-
-
-def _format_validation_error(err: ValidationError) -> str:
-    # A cross-field rule raises a ValueError whose message names its keys.
-    return "; ".join(str(e["ctx"]["error"]) if e["type"] == "value_error"
-                     else f"{'.'.join(map(str, e['loc'])) or '<root>'}: {e['msg']}"
-                     for e in err.errors())
 
 
 def load_config(data: dict, overrides: dict | None = None) -> Config:
@@ -205,10 +274,7 @@ def load_config(data: dict, overrides: dict | None = None) -> Config:
                 if not isinstance(node, dict):
                     raise ConfigError(f"override path {dotted!r} crosses a non-object")
             node[keys[-1]] = value
-    try:
-        return Config.model_validate(data)
-    except ValidationError as err:
-        raise ConfigError(_format_validation_error(err)) from err
+    return _build(Config, data)
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> Config:
@@ -225,10 +291,10 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> Config:
 
 def resolved_json(cfg: Config) -> str:
     """Canonical JSON with every default made explicit."""
-    return json.dumps(cfg.model_dump(), indent=2, sort_keys=True)
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True)
 
 
 def config_hash(cfg: Config) -> str:
     return hashlib.sha256(
-        json.dumps(cfg.model_dump(), sort_keys=True).encode()
+        json.dumps(asdict(cfg), sort_keys=True).encode()
     ).hexdigest()[:16]

@@ -76,6 +76,19 @@ def _fill_chunks(n: int, d: int, threads: int) -> list[tuple[int, int]]:
     return _row_blocks(n, -(-n // max(1, min(threads, n * d // _MIN_CHUNK, n))))
 
 
+def _class_draws(num_classes: int, n: int, d: int, separation: float, seed: int):
+    """make_synthetic's generator, class means and labels, drawn before any feature."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(num_classes, d))
+    means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
+    return rng, means, rng.integers(0, num_classes, size=n)
+
+
+def synthetic_labels(num_classes: int, n: int, d: int, seed: int) -> np.ndarray:
+    """The labels of ``make_synthetic`` at any separation, without its (n, d) features."""
+    return _class_draws(num_classes, n, d, 1.0, seed)[2]
+
+
 def make_synthetic(
     num_classes: int, n: int, d: int, separation: float, seed: int, threads: int = 1
 ) -> Dataset:
@@ -92,10 +105,7 @@ def make_synthetic(
     overlap.  If no window is found, the rest is drawn on from the last exact
     generator.  Memory: the (n, d) features, _BLOCK_ROWS rows, an overlap per chunk.
     """
-    rng = np.random.default_rng(seed)
-    means = rng.normal(size=(num_classes, d))
-    means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
-    labels = rng.integers(0, num_classes, size=n)
+    rng, means, labels = _class_draws(num_classes, n, d, separation, seed)
     features = np.empty((n, d))
     flat = features.reshape(-1)
     chunks = [(lo * d, hi * d) for lo, hi in _fill_chunks(n, d, threads)]
@@ -176,9 +186,9 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def partition(
-    dataset: Dataset, num_nodes: int, mode: str, seed: int, labels_per_node: int = 2
+    labels: np.ndarray, num_nodes: int, mode: str, seed: int, labels_per_node: int = 2
 ) -> list[np.ndarray]:
-    """Split sample indices across nodes.
+    """Split the indices of the samples with ``labels`` across nodes.
 
     "iid" shuffles and splits equally; "noniid" shards by label so each
     node sees at most ``labels_per_node`` distinct labels.  Partitions are
@@ -186,8 +196,8 @@ def partition(
     """
     rng = np.random.default_rng(seed)
     if mode == "iid":
-        idx = rng.permutation(dataset.n)
-        per = dataset.n // num_nodes
+        idx = rng.permutation(len(labels))
+        per = len(labels) // num_nodes
         return [idx[k * per : (k + 1) * per] for k in range(num_nodes)]
     # "noniid": build num_nodes * labels_per_node single-label shards (shard
     # counts per label proportional to label frequency, largest
@@ -195,8 +205,8 @@ def partition(
     # random.  Every shard is pure, so a node sees at most
     # labels_per_node distinct labels.
     num_shards = num_nodes * labels_per_node
-    classes, counts = np.unique(dataset.labels, return_counts=True)
-    quota = counts * num_shards / dataset.n
+    classes, counts = np.unique(labels, return_counts=True)
+    quota = counts * num_shards / len(labels)
     slots = np.floor(quota).astype(int)
     short = num_shards - int(slots.sum())
     if short > 0:
@@ -212,7 +222,7 @@ def partition(
     for c, k in zip(classes, slots):
         if k == 0:
             continue
-        pool = rng.permutation(np.flatnonzero(dataset.labels == c))
+        pool = rng.permutation(np.flatnonzero(labels == c))
         shards.extend(np.array_split(pool, k))
     assign = rng.permutation(len(shards))
     return [

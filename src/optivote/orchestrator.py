@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -73,30 +73,48 @@ def aggregate_fedavg_air(
 def build_data(cfg: Config,
                threads: int = 1) -> tuple[learner.Dataset, learner.Dataset, list[np.ndarray]]:
     """(train, test, per-node training shards), deterministic in run.seed at any ``threads``."""
-    ds, seed, M = cfg.learner.dataset, cfg.run.seed, cfg.run.M
+    ds = cfg.learner.dataset
     if ds.type == "synthetic":
-        full = learner.make_synthetic(
-            ds.num_classes, ds.n + ds.n_test, ds.d, ds.separation,
-            seed=int(derive(seed, TAG_DATA).integers(2**31)), threads=threads,
-        )
+        full = learner.make_synthetic(ds.num_classes, ds.n + ds.n_test, ds.d, ds.separation,
+                                      seed=_data_seed(cfg), threads=threads)
         train = learner.Dataset(full.features[: ds.n], full.labels[: ds.n], ds.num_classes)
         test = learner.Dataset(full.features[ds.n :], full.labels[ds.n :], ds.num_classes)
     else:
         train = learner.load_mnist_idx(ds.train_images, ds.train_labels)
         test = learner.load_mnist_idx(ds.test_images, ds.test_labels)
-    part = cfg.learner.partition
+    return train, test, _shards(cfg, train.labels)
+
+
+def train_shards(cfg: Config) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(training labels, per-node shards) as ``build_data`` makes them, drawing no
+    synthetic feature."""
+    ds = cfg.learner.dataset
+    if ds.type == "synthetic":
+        labels = learner.synthetic_labels(ds.num_classes, ds.n + ds.n_test, ds.d,
+                                          seed=_data_seed(cfg))[: ds.n]
+    else:
+        labels = learner.load_mnist_idx(ds.train_images, ds.train_labels).labels
+    return labels, _shards(cfg, labels)
+
+
+def _data_seed(cfg: Config) -> int:
+    return int(derive(cfg.run.seed, TAG_DATA).integers(2**31))
+
+
+def _shards(cfg: Config, labels: np.ndarray) -> list[np.ndarray]:
+    part, M = cfg.learner.partition, cfg.run.M
     shards = learner.partition(
-        train, M, part.mode,
-        seed=int(derive(seed, TAG_DATA, 1).integers(2**31)),
+        labels, M, part.mode,
+        seed=int(derive(cfg.run.seed, TAG_DATA, 1).integers(2**31)),
         labels_per_node=part.labels_per_node,
     )
     empty = sum(len(s) == 0 for s in shards)
     if empty:
         raise ConfigError(
             f"run.M / learner.partition: {empty} of run.M = {M} shards are empty "
-            f"when {train.n} training samples are split with mode {part.mode!r}"
+            f"when {len(labels)} training samples are split with mode {part.mode!r}"
         )
-    return train, test, shards
+    return shards
 
 
 class _Uplink(NamedTuple):
@@ -184,7 +202,7 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
     params = cfg.channel
     pparams = cfg.power
     if scheme.rho is not None:
-        pparams = pparams.model_copy(update={"rho": scheme.rho})
+        pparams = replace(pparams, rho=scheme.rho)
     if scheme.over_air and params.sigma_n2 > 0:
         snr = theory.theta(pparams.p_avg, ch.lambda_eff(params)) / params.sigma_n2
         if snr < _LOW_SNR:

@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from pydantic import ValidationError
 from scipy import integrate
 
 from optivote import channel as ch
 from optivote.config import ChannelConfig
+from optivote.errors import ConfigError
 from optivote.rng import derive
 
 
@@ -29,15 +29,15 @@ def out_of_place_intensities(p, rng, size):
 
 class TestValidation:
     def test_rejects_bad_distances(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             ChannelConfig(d_min_km=2000.0, d_max_km=500.0)
 
     def test_rejects_bad_a0(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             params(a0=1.5)
 
     def test_rejects_bad_xi_p(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             params(xi_p=0.0)
 
 

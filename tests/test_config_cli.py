@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
-import pydantic
 import pytest
 
 from optivote import cli, learner
@@ -14,6 +15,8 @@ from optivote.errors import ConfigError
 from optivote.montecarlo import unit_channel
 
 from conftest import UNIT_CFSPL
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -86,6 +89,23 @@ class TestConfigSchema:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
+    @pytest.mark.parametrize("name, digest, resolved", [
+        ("default", "6b2cdb24ec706ef8",
+         "3cf7535ed0c32da6ee85efb1b93d2cc26592fea3f0db9b9feb3def002b89058a"),
+        ("mnist_full", "86aa6bf7a24bf2b5",
+         "6482fddad39542d5f56f725b89260cf0194c0354799651538b5278f74f98fdc7"),
+    ])
+    def test_bundled_configs_keep_hash_and_resolved_bytes(self, name, digest, resolved):
+        # The values the pydantic schema gave; mnist_full's IDX paths need only exist.
+        path = ROOT / "configs" / f"{name}.json"
+        for key, value in json.loads(path.read_text())["learner"]["dataset"].items():
+            if key.endswith(("_images", "_labels")):
+                Path(value).parent.mkdir(parents=True, exist_ok=True)
+                Path(value).touch()
+        cfg = parse_config(path)
+        assert config_hash(cfg) == digest
+        assert hashlib.sha256(resolved_json(cfg).encode()).hexdigest() == resolved
+
     def test_hash_changes_with_config(self):
         a = config_hash(load_config({}))
         b = config_hash(load_config({"run": {"seed": 1}}))
@@ -147,13 +167,15 @@ class TestConfigSchema:
     def test_sections_are_frozen_and_copies_validated(self):
         # Every section, and every copy of one, holds only values
         # load_config accepts.
-        with pytest.raises(pydantic.ValidationError):
-            unit_channel(1.0).model_copy(update={"lambda_opt_nm": 800.0, "a0": 5.0})
-        with pytest.raises(pydantic.ValidationError):
+        with pytest.raises(ConfigError, match="channel.c_fspl: Input should be greater than 0"):
+            ChannelConfig(c_fspl=-1.0)
+        with pytest.raises(ConfigError):
+            replace(unit_channel(1.0), lambda_opt_nm=800.0, a0=5.0)
+        with pytest.raises(FrozenInstanceError):
             load_config({}).run.seed = -1
         cfg = load_config({})
-        assert cfg.power.model_copy(update={"rho": 0.0}).rho == 0.0
-        assert cfg.model_copy() == cfg
+        assert replace(cfg.power, rho=0.0).rho == 0.0
+        assert replace(cfg) == cfg
 
     def test_channel_unit_conversion(self):
         params = load_config({}).channel
@@ -301,8 +323,9 @@ class TestCliSimulate:
         ("learner.partition.mode", '"bogus"',
          "learner.partition.mode: Input should be 'iid' or 'noniid'"),
         ("learner.model.arch", '"cnn"', "learner.model.arch: Input should be 'logistic' or 'mlp'"),
-        ("run.m", "0", "run.m must satisfy 1 <= m <= M"),
-        ("run.m", "7", "run.m must satisfy 1 <= m <= M"),  # run.M is 6
+        ("run.m", "0", "run.m / run.M: require 1 <= m <= M"),
+        ("run.m", "7", "run.m / run.M: require 1 <= m <= M"),  # run.M is 6
+        ("run.M", "2", "run.m / run.M: require 1 <= m <= M"),  # run.m is 3
         ("run.d_b", "0", "run.d_b: Input should be greater than or equal to 1"),
         # 1e308 * d_b overflows, so the step 1 / sqrt(L1_estimate * d_b) is 0.
         ("run.L1_estimate", "1e308", "run.lr / run.L1_estimate / run.d_b: the theorem1 step"),
@@ -546,9 +569,9 @@ class TestCliSweep:
         assert captured.err == "error: --param M would override --M; give one of the two\n"
 
     def test_channel_flag_defaults_are_the_configs(self):
-        for name, field in ChannelConfig.model_fields.items():
-            assert cli.THEORY_FLAGS[name] == (float, field.default)
-        defaults = {k: cli.THEORY_FLAGS[k][1] for k in ChannelConfig.model_fields}
+        for field in fields(ChannelConfig):
+            assert cli.THEORY_FLAGS[field.name] == (float, field.default)
+        defaults = {f.name: cli.THEORY_FLAGS[f.name][1] for f in fields(ChannelConfig)}
         assert load_config({"channel": defaults}).channel == ChannelConfig()
 
     def test_tuple_op_gets_one_column_per_element(self, capsys):
@@ -665,6 +688,22 @@ class TestCliPartitionInspect:
         for node in info:
             assert len(node["labels"]) <= 2
             assert node["samples"] == sum(node["labels"].values())
+
+    @pytest.mark.parametrize("config, digest", [
+        ("perfbench/mnist_shape.json",
+         "bdfc356b06eb6b4b5afadb984f4c315ee07c4e7d7cc6c59ba384f3521a0a43e9"),
+        ("configs/default.json",
+         "0899e043a340ff70f31f307d806882182e167c198411fa3ffd31b5193a5333c3"),
+    ])
+    def test_histograms_draw_no_feature(self, capsys, monkeypatch, config, digest):
+        # The digest is of the stdout the command printed when it built the
+        # whole dataset; the labels alone give the same bytes.
+        def no_features(*args, **kwargs):
+            raise AssertionError("drew the synthetic features")
+
+        monkeypatch.setattr(cli.orchestrator.learner, "make_synthetic", no_features)
+        assert cli.main(["partition-inspect", "--config", str(ROOT / config)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_empty_shard_names_keys(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)

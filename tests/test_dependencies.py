@@ -1,0 +1,34 @@
+"""The third-party packages ``src/`` imports are exactly the ones
+``pyproject.toml`` declares: none undeclared, none declared but unused.
+
+Function-level imports count too (``channel.lambda_oracle`` imports scipy
+only when called).
+"""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_packages() -> set[str]:
+    """Top-level names of every absolute import under src/, at any depth."""
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imports_match_declared_dependencies():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_")
+                for spec in project["dependencies"]}
+    third_party = imported_packages() - set(sys.stdlib_module_names) - {"optivote"}
+    assert third_party == declared == {"numpy", "scipy"}

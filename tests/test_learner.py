@@ -240,20 +240,20 @@ class TestMnistIdx:
 class TestPartition:
     def test_iid_equal_split(self):
         ds = learner.make_synthetic(10, 100, 4, 1.0, seed=0)
-        shards = learner.partition(ds, 4, "iid", seed=0)
+        shards = learner.partition(ds.labels, 4, "iid", seed=0)
         assert [len(s) for s in shards] == [25, 25, 25, 25]
 
     def test_noniid_label_cardinality(self):
         ds = learner.make_synthetic(10, 2000, 4, 1.0, seed=0)
         for seed in range(5):
-            shards = learner.partition(ds, 10, "noniid", seed=seed,
+            shards = learner.partition(ds.labels, 10, "noniid", seed=seed,
                                        labels_per_node=2)
             for s in shards:
                 assert len(np.unique(ds.labels[s])) <= 2
 
     def test_noniid_covers_dataset(self):
         ds = learner.make_synthetic(10, 2000, 4, 1.0, seed=0)
-        shards = learner.partition(ds, 10, "noniid", seed=0, labels_per_node=2)
+        shards = learner.partition(ds.labels, 10, "noniid", seed=0, labels_per_node=2)
         union = np.concatenate(shards)
         assert len(np.unique(union)) == ds.n
         assert set(np.unique(ds.labels[union])) == set(range(10))
@@ -261,7 +261,7 @@ class TestPartition:
     def test_disjoint_no_duplicates(self):
         ds = learner.make_synthetic(10, 1000, 4, 1.0, seed=0)
         for mode in ("iid", "noniid"):
-            shards = learner.partition(ds, 7, mode, seed=3)
+            shards = learner.partition(ds.labels, 7, mode, seed=3)
             union = np.concatenate(shards)
             assert len(union) == len(np.unique(union))
 

@@ -3,7 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -147,7 +147,7 @@ class TestVerifyErrorBounds:
                          for p in channels]
 
     def test_noiseless_corollary_matches_oracle(self):
-        noiseless = mc.unit_channel(xi_snr=1.0).model_copy(update={"sigma_n2": 0.0})
+        noiseless = replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
         got = mc.verify_corollary1(11, 0.1, noiseless, samples=20_000, seed=4)
         assert asdict(got) == asdict(single_draw_corollary1(11, 0.1, noiseless, 20_000, 4))
 
@@ -275,7 +275,7 @@ class TestVerifyQBound:
 
 class TestVerifyCorollary1:
     def test_noise_free_majority_never_flips(self):
-        noiseless = mc.unit_channel(xi_snr=1.0).model_copy(update={"sigma_n2": 0.0})
+        noiseless = replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
         # Even without receiver noise the energy vote can flip when the
         # minority happens to draw much stronger fading than the majority,
         # so the conditional rate is small but not exactly zero.

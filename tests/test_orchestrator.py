@@ -90,6 +90,17 @@ class TestBuildData:
         with pytest.raises(ConfigError, match="run.M / learner.partition"):
             orch.build_data(load_config(small_config(M=3000)))
 
+    @pytest.mark.parametrize("mode", ["iid", "noniid"])
+    def test_train_shards_are_build_datas(self, mode):
+        cfg = load_config({**small_config(), "learner": {
+            **small_config()["learner"], "partition": {"mode": mode}}})
+        train, _, shards = orch.build_data(cfg)
+        labels, again = orch.train_shards(cfg)
+        np.testing.assert_array_equal(labels, train.labels)
+        assert len(again) == len(shards)
+        for a, b in zip(again, shards):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestRun:
     def test_scheme_table_matches_config(self):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from pydantic import ValidationError
-
 from optivote import power
 from optivote.config import PowerConfig
+from optivote.errors import ConfigError
 
 
 def make_params(**kw):
@@ -15,11 +14,11 @@ def make_params(**kw):
 
 class TestParams:
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             make_params(p_min=3.0)
 
     def test_rejects_negative_rho(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             make_params(rho=-0.1)
 
 

@@ -1,4 +1,5 @@
-"""CLI start-up in a fresh interpreter: scipy loads only for the quadrature oracle.
+"""CLI start-up in a fresh interpreter: scipy loads only for the quadrature
+oracle, and no schema library loads at all.
 
 The in-process suite always has scipy imported (other test modules import
 it), so only a child interpreter sees the cold path.
@@ -23,8 +24,8 @@ def fresh_python(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    proc = fresh_python("-c", "import sys, optivote.cli; print(sorted("
-                        "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = fresh_python("-c", "import sys, optivote.cli; print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] in ('scipy', 'pydantic', 'pydantic_core')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
