@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 config/usage error, 2 verification failure,
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -27,18 +28,15 @@ from .errors import ConfigError, FormatError, NumericError, UsageError
 def _collect_overrides(extras: list[str]) -> dict:
     """Turn leftover ``--a.b value`` pairs into a dotted-override dict."""
     overrides = {}
-    i = 0
-    while i < len(extras):
-        flag = extras[i]
+    for flag, value in itertools.zip_longest(extras[::2], extras[1::2]):
         if not flag.startswith("--") or "." not in flag:
             raise ConfigError(f"unrecognized argument {flag!r}")
-        if i + 1 >= len(extras):
+        if value is None:
             raise ConfigError(f"override {flag!r} is missing a value")
         try:
-            overrides[flag[2:]] = json.loads(extras[i + 1])
+            overrides[flag[2:]] = json.loads(value)
         except json.JSONDecodeError:
-            overrides[flag[2:]] = extras[i + 1]  # a bare string
-        i += 2
+            overrides[flag[2:]] = value  # a bare string
     return overrides
 
 
@@ -46,6 +44,8 @@ def _load_run_config(args, extras) -> Config:
     overrides = _collect_overrides(extras)
     env_seed = os.environ.get("OPTIVOTE_SEED")
     if env_seed is not None:
+        if "run.seed" in overrides:
+            raise ConfigError("OPTIVOTE_SEED would override --run.seed; give one of the two")
         try:
             overrides["run.seed"] = int(env_seed)
         except ValueError:
@@ -95,15 +95,25 @@ THEORY_OPS = {
 }
 
 
+def _finite(text: str) -> float:
+    """The type of every float flag: a number that is neither NaN nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # so argparse still reports "invalid float value: 'abc'"
+
+
 # theory/sweep flags: name -> (type, default when not typed), the channel's from
 # its config section.  --d-b sets d_b; a sweep axis --param d_b=1,4 takes the flag's type.
 THEORY_FLAGS = {
-    "M": (int, 10), "xi": (float, 1.0), "q": (float, 0.2), "g": (float, 1.0),
-    "alpha": (float, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
-    "theta": (float, 1.0), "p_avg": (float, 1.0), "lam": (float, 1.0),
-    "p_err": (float, 0.0), "L1": (float, 1.0), "gap": (float, 1.0),
-    "sigma_l1": (float, 1.0), "N": (int, 100), "gamma": (int, 1),
-    **{f.name: (float, f.default) for f in fields(ChannelConfig)},
+    "M": (int, 10), "xi": (_finite, 1.0), "q": (_finite, 0.2), "g": (_finite, 1.0),
+    "alpha": (_finite, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
+    "theta": (_finite, 1.0), "p_avg": (_finite, 1.0), "lam": (_finite, 1.0),
+    "p_err": (_finite, 0.0), "L1": (_finite, 1.0), "gap": (_finite, 1.0),
+    "sigma_l1": (_finite, 1.0), "N": (int, 100), "gamma": (int, 1),
+    **{f.name: (_finite, f.default) for f in fields(ChannelConfig)},
 }
 
 
@@ -121,7 +131,7 @@ def _sweep_axes(specs: list[str]) -> dict[str, list[tuple[str, object]]]:
             raise ConfigError(f"--param {name}: the axis is repeated")
         try:
             axes[name] = [(text, THEORY_FLAGS[name][0](text)) for text in values.split(",")]
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ConfigError(f"--param {name}: {err}") from None
     return axes
 
@@ -223,8 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    try:
+        args, extras = build_parser().parse_known_args(argv)
+    except SystemExit as stop:  # argparse exits 2 on a usage error: exit 1, as for any bad input
+        return 1 if stop.code else 0
     try:
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")

@@ -6,7 +6,6 @@ layers are flat-packed as [W1, b1, W2, b2] into a single parameter vector,
 so the MV update is a plain vector step.
 """
 
-import copy
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -45,10 +44,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-# Rows per block when the dataset is built and evaluated, so that their
-# temporaries are _BLOCK_ROWS rows tall instead of n.  At 2048 rows the
-# block make_synthetic adds is about a tenth of a 20k-row feature array.
+# Rows per block when a dataset is evaluated, so that its temporaries are
+# _BLOCK_ROWS rows tall instead of n.
 _BLOCK_ROWS = 2048
+_CHUNK_NORMALS = 2**17  # about this many normals (1 MiB) per make_synthetic chunk
 # OpenBLAS (0.3.31, AVX-512 kernels) multiplies a product of at most 1e6
 # multiply-adds in a small-matrix kernel that rounds differently from its
 # blocked kernel.  evaluate keeps each block's products above half this,
@@ -61,19 +60,6 @@ def _row_blocks(n: int, rows: int):
     """(start, stop) of ceil(n / rows) near-equal blocks covering range(n)."""
     k = -(-n // rows)
     return [(n * j // k, n * (j + 1) // k) for j in range(k)]
-
-
-# make_synthetic's fill: numpy's ziggurat reads _RAW_PER_NORMAL PCG64 outputs per
-# normal on average (1,022,035,438 for 1e9: seeds 0-9 at 1e8 each, ratios within 2.2e-5).
-_RAW_PER_NORMAL = 1.022035
-_MIN_CHUNK = 2**20  # normals per fill chunk at least
-_OVERLAP = 2**14  # normals each chunk draws past its end
-_WINDOW = 64  # normals that locate a chunk in the stream, and its start margin
-
-
-def _fill_chunks(n: int, d: int, threads: int) -> list[tuple[int, int]]:
-    """Row bounds of make_synthetic's fill chunks, one per worker thread."""
-    return _row_blocks(n, -(-n // max(1, min(threads, n * d // _MIN_CHUNK, n))))
 
 
 def _class_draws(num_classes: int, n: int, d: int, separation: float, seed: int):
@@ -95,63 +81,25 @@ def make_synthetic(
     """Gaussian class clusters with unit within-class spread.
 
     Class means are random unit directions scaled by ``separation``, so large
-    separation gives linearly separable data.  Bit-identical to
-    ``means[labels] + rng.normal(size=(n, d))`` at any ``threads``: chunk 0
-    of the noise rows is drawn from ``rng``, chunk j from a PCG64 advanced
-    _RAW_PER_NORMAL outputs per normal before it, less _WINDOW normals, each
-    with _OVERLAP normals past its end.  The ziggurat falls into step within a
-    few normals, so finding chunk j's normals _WINDOW..2*_WINDOW in chunk j-1's
-    overlap gives its offset; it is shifted into place, its head taken from that
-    overlap.  If no window is found, the rest is drawn on from the last exact
-    generator.  Memory: the (n, d) features, _BLOCK_ROWS rows, an overlap per chunk.
+    separation gives linearly separable data.  The noise rows come in chunks of
+    about _CHUNK_NORMALS normals, set by (n, d) alone, so any ``threads`` give the
+    same bytes: chunk 0 from the generator that drew the means and labels, so one
+    chunk is ``means[labels] + rng.normal(size=(n, d))``, and chunk j >= 1 from
+    ``default_rng(SeedSequence(seed, spawn_key=(j,)))``.
     """
     rng, means, labels = _class_draws(num_classes, n, d, separation, seed)
     features = np.empty((n, d))
-    flat = features.reshape(-1)
-    chunks = [(lo * d, hi * d) for lo, hi in _fill_chunks(n, d, threads)]
-    k = len(chunks)
-    gens = [rng] + [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(
-        round(_RAW_PER_NORMAL * (a - _WINDOW)))) for a, _ in chunks[1:]]
-    # Allocated here rather than in the workers, which would each grow a malloc arena.
-    tails = np.empty((k, _OVERLAP if k > 1 else 0))
-    gather = np.empty((k, min(n, -(-_BLOCK_ROWS // k)), d))
+    chunks = _row_blocks(n, max(1, _CHUNK_NORMALS // d))
 
-    def draw(j):
-        gens[j].standard_normal(out=flat[slice(*chunks[j])])
-        gens[j].standard_normal(out=tails[j])
+    def fill(j):
+        lo, hi = chunks[j]
+        gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))) if j else rng
+        gen.standard_normal(out=features[lo:hi])
+        features[lo:hi] += means[labels[lo:hi]]
 
-    def place(j):
-        (a, b), (s, head) = chunks[j], placed[j]
-        if s > 0:  # numpy moves an overlapping 1-D slice in place, without a temporary
-            flat[a : b - s] = flat[a + s : b]
-            flat[b - s : b] = tails[j][:s]
-        elif s < 0:
-            flat[a - s : b] = flat[a : b + s]
-        flat[a : a + len(head)] = head
-        r0, buf = a // d, gather[j]
-        for lo, hi in _row_blocks(b // d - r0, len(buf)):
-            # mode="clip" writes straight into out; "raise" would buffer it.
-            np.take(means, labels[r0 + lo : r0 + hi], axis=0, out=buf[: hi - lo], mode="clip")
-            features[r0 + lo : r0 + hi] += buf[: hi - lo]
-
-    with ThreadPoolExecutor(k) if k > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        list(each(draw, range(k)))
-        # (s, head) per chunk: its body and overlap hold the stream from normal
-        # a - s on, exactly from their _WINDOW-th; edge[i] is normal a - s_prev - _OVERLAP + i.
-        placed = [(0, tails[0][:0])]
-        while len(placed) < len(chunks):
-            j, a = len(placed), chunks[len(placed)][0]
-            edge = np.concatenate((flat[a - _OVERLAP : a], tails[j - 1]))
-            window, first = flat[a + _WINDOW : a + 2 * _WINDOW], placed[-1][0] + _OVERLAP
-            found = [i for i in np.flatnonzero(edge[: 1 - _WINDOW] == window[0])
-                     if np.array_equal(edge[i : i + _WINDOW], window)]
-            if not found or abs(_WINDOW + first - found[0]) > _OVERLAP:
-                flat[a : a + len(edge) - first] = edge[first:]
-                gens[j - 1].standard_normal(out=flat[a + len(edge) - first :])
-                chunks[j:], found = [(a, n * d)], [first + _WINDOW]
-            placed.append((_WINDOW + first - found[0], edge[first : found[0]].copy()))
-        list(each(place, range(len(chunks))))
+    workers = min(threads, len(chunks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        list((pool.map if pool else map)(fill, range(len(chunks))))
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 

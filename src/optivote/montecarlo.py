@@ -22,6 +22,7 @@ array is built.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +151,8 @@ def _cohort_sums(
     step = max(1, _BLOCK_ELEMENTS // M)
     blocks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
     workers = min(threads, len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(lambda b: block(*b), blocks))
-    else:
-        for lo, hi in blocks:
-            block(lo, hi)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        list((pool.map if pool else map)(lambda b: block(*b), blocks))
     rng.bit_generator.advance(3 * size)
     return e_plus, e_minus, n_plus
 

@@ -218,9 +218,7 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
         seed=int(derive(seed, TAG_DATA, 2).integers(2**31)),
     )
 
-    eta = rc.eta
-    if rc.lr == "theorem1":
-        eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b)
+    eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b) if rc.lr == "theorem1" else rc.eta
 
     pstate = power.PowerState.initial(rc.M, pparams)
     last_mv: np.ndarray | None = None  # the last broadcast vote

@@ -48,9 +48,6 @@ def update_powers(
     abar_scope="active", the mean runs over ``active`` indices only.
     """
     a = state.a
-    if params.abar_scope == "active":
-        a_bar = float(np.mean(a[active]))
-    else:
-        a_bar = float(np.mean(a))
+    a_bar = float(np.mean(a[active] if params.abar_scope == "active" else a))
     p_new = np.clip(state.p + params.rho * (a - a_bar), params.p_min, params.p_max)
     return PowerState(p=p_new, a=a.copy())

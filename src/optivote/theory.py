@@ -97,6 +97,8 @@ def convergence_bound(M: int, xi_snr: float, L1: float, gap: float,
         raise UsageError("M, N, gamma must be >= 1")
     if xi_snr <= 0 or L1 <= 0:
         raise UsageError("xi_snr and L1 must be positive")
+    if gap < 0 or sigma_l1 < 0:
+        raise UsageError("gap and sigma_l1 must be non-negative")
     if N % gamma != 0:
         raise UsageError("N must be divisible by gamma (d_b = N / gamma)")
     delta = (1.0 + 2.0 / (xi_snr * M)) / math.sqrt(gamma)

@@ -223,6 +223,14 @@ class TestCliSimulate:
         assert "run.seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_env_seed_with_typed_seed_exits_one(self, tmp_path, monkeypatch, capsys):
+        cfg_path = fast_config(tmp_path)
+        monkeypatch.setenv("OPTIVOTE_SEED", "5")
+        assert cli.main(["simulate", "--config", cfg_path, "--run.seed", "7"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: OPTIVOTE_SEED would override --run.seed; give one of the two\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
         cfg_path = fast_config(tmp_path)
         monkeypatch.setenv("OPTIVOTE_SEED", "-1")
@@ -252,7 +260,7 @@ class TestCliSimulate:
 
     def test_threads_keep_metrics_bytes(self, tmp_path):
         dataset = {"n": 48_000, "n_test": 2_000, "d": 64, "num_classes": 4}
-        assert len(learner._fill_chunks(50_000, 64, 3)) == 3  # a parallel build
+        assert 50_000 * 64 > 3 * learner._CHUNK_NORMALS  # several fill chunks: a parallel build
         cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
         written = []
         for threads in ("1", "3"):
@@ -415,6 +423,53 @@ class TestCliSimulate:
         assert cli.main(["simulate", "--config", cfg_path, "--bogus", "1"]) == 1
 
 
+# SHA-256 prefixes of (metrics.csv, power.csv, slots.csv) that
+# configs/default.json writes with both dumps on, under each scheme.
+DESK_DIGESTS = {
+    "optivote": ("90d05671", "61568535", "b74b3d92"),
+    "optivote_fixed_power": ("0129c164", "d0d6fedf", "a09db675"),
+    "ideal_mv": ("20f97291", "9864911e", "b7c2d70b"),
+    "fedavg_air": ("d5b93fac", "9864911e", "b7c2d70b"),
+}
+
+
+@pytest.mark.parametrize("scheme", DESK_DIGESTS)
+def test_desk_bytes_are_pinned(tmp_path, monkeypatch, scheme):
+    """The desk config's three CSVs keep their bytes under every scheme.
+
+    These bytes depend on the numpy and OpenBLAS build as well as on the code:
+    a BLAS kernel may round a product differently (see learner._MIN_BLOCK_MACS).
+    They were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64),
+    so a different build that fails here needs its digests checked by hand.
+    """
+    monkeypatch.delenv("OPTIVOTE_SEED", raising=False)
+    out = tmp_path / scheme
+    assert cli.main(["--threads", "2", "simulate", "--config", str(ROOT / "configs/default.json"),
+                     "--run.scheme", scheme, "--output.dir", str(out),
+                     "--output.dump_power", "true", "--output.dump_slots", "true"]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()[:8]
+                    for name in ("metrics.csv", "power.csv", "slots.csv"))
+    assert digests == DESK_DIGESTS[scheme]
+
+
+class TestCliUsage:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "abc"],
+        ["theory", "--op", "error_bound", "--M", "abc"],
+        ["bogus"],
+    ])
+    def test_usage_error_exits_one_with_the_usage_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: optivote")
+        assert "error: argument " in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: optivote verify")
+
+
 class TestCliTheory:
     def test_error_bound(self, capsys):
         assert cli.main(["theory", "--op", "error_bound",
@@ -450,6 +505,26 @@ class TestCliTheory:
         err = capsys.readouterr().err
         assert err.startswith("error: channel.d_min_km / channel.d_max_km")
         assert "is not a positive finite number" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["theory", "--op", "error_bound", "--xi", "nan"], "argument --xi"),
+        (["theory", "--op", "error_bound", "--xi", "1e400"], "argument --xi"),
+        (["theory", "--op", "q_bound", "--g", "inf"], "argument --g"),
+        (["theory", "--op", "theta", "--p-avg", "inf"], "argument --p-avg"),
+        (["theory", "--op", "lambda_eff", "--a0=-inf"], "argument --a0"),
+        (["sweep", "--op", "error_bound", "--param", "xi=nan,1"], "--param xi"),
+        (["sweep", "--op", "theta", "--param", "lam=1,-Infinity"], "--param lam"),
+    ])
+    def test_non_finite_flag_exits_one_naming_it(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be a finite number, got " in captured.err
+
+    @pytest.mark.parametrize("flag", ["--gap", "--sigma-l1"])
+    def test_negative_convergence_input_exits_one(self, capsys, flag):
+        assert cli.main(["theory", "--op", "convergence_bound", flag, "-5"]) == 1
+        assert capsys.readouterr() == ("", "error: gap and sigma_l1 must be non-negative\n")
 
     def test_domain_error_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1
@@ -525,10 +600,11 @@ class TestCliSweep:
             args = parser.parse_args([command, "--op", "theta"])
             assert not set(vars(args)) & set(cli.THEORY_FLAGS)
             for name, (kind, default) in cli.THEORY_FLAGS.items():
+                assert kind in (int, cli._finite)  # every float flag must be finite
                 if default is not None:
                     flag = "--" + name.replace("_", "-")
                     typed = parser.parse_args([command, "--op", "theta", flag, str(default)])
-                    assert type(getattr(typed, name)) is kind
+                    assert type(getattr(typed, name)) is (int if kind is int else float)
                     assert getattr(typed, name) == default
             typed = parser.parse_args([command, "--op", "theta", "--d-b", "4",
                                        "--sigma-n2", "0.5"])
@@ -570,7 +646,7 @@ class TestCliSweep:
 
     def test_channel_flag_defaults_are_the_configs(self):
         for field in fields(ChannelConfig):
-            assert cli.THEORY_FLAGS[field.name] == (float, field.default)
+            assert cli.THEORY_FLAGS[field.name] == (cli._finite, field.default)
         defaults = {f.name: cli.THEORY_FLAGS[f.name][1] for f in fields(ChannelConfig)}
         assert load_config({"channel": defaults}).channel == ChannelConfig()
 

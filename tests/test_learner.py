@@ -18,12 +18,17 @@ def train_sgd(model, ds, steps, lr, batch=64, seed=1):
     return model
 
 
-def oracle_synthetic(num_classes, n, d, separation, seed):
-    """make_synthetic as one full-size expression (two (n, d) buffers)."""
+def oracle_class_draws(num_classes, n, d, separation, seed):
+    """The generator, class means and labels that make_synthetic draws first."""
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
-    labels = rng.integers(0, num_classes, size=n)
+    return rng, means, rng.integers(0, num_classes, size=n)
+
+
+def oracle_synthetic(num_classes, n, d, separation, seed):
+    """A one-chunk make_synthetic as one full-size expression (two (n, d) buffers)."""
+    rng, means, labels = oracle_class_draws(num_classes, n, d, separation, seed)
     return means[labels] + rng.normal(size=(n, d)), labels
 
 
@@ -83,11 +88,11 @@ def oracle_gradient(model, x, y):
 B = learner._BLOCK_ROWS
 # Below one block, an exact multiple of it, and one row past a multiple.
 BLOCK_SIZES = [B // 3, 2 * B, 2 * B + 1, 6 * B + 1]
-# Rows of width FILL_D just below and at the two-chunk fill threshold, and
-# one row past four chunks' worth.
+# Rows of width FILL_D: exactly one fill chunk (2^17 normals), one row more
+# (two chunks), two chunks' worth, and one row past four chunks' worth.
 FILL_D = 64
-FILL_ROWS = [2 * learner._MIN_CHUNK // FILL_D - 1, 2 * learner._MIN_CHUNK // FILL_D,
-             4 * learner._MIN_CHUNK // FILL_D + 1]
+C = learner._CHUNK_NORMALS // FILL_D
+FILL_ROWS = [C, C + 1, 2 * C, 4 * C + 1]
 
 
 class InlinePool:
@@ -121,40 +126,42 @@ class TestMakeSynthetic:
 
     @pytest.mark.parametrize("n", FILL_ROWS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_threads_bit_identical_to_one_shot_oracle(self, n, seed):
-        features, labels = oracle_synthetic(10, n, FILL_D, 4.0, seed)
-        for threads in (1, 2, 3, 4):
-            ds = learner.make_synthetic(10, n, FILL_D, 4.0, seed, threads=threads)
-            assert np.array_equal(ds.features, features), threads
-            assert np.array_equal(ds.labels, labels)
+    def test_same_bytes_at_any_threads(self, n, seed):
+        ds = learner.make_synthetic(10, n, FILL_D, 4.0, seed)
+        assert np.array_equal(ds.labels, oracle_class_draws(10, n, FILL_D, 4.0, seed)[2])
+        for threads in (2, 3, 4):
+            other = learner.make_synthetic(10, n, FILL_D, 4.0, seed, threads=threads)
+            assert np.array_equal(other.features, ds.features), threads
+            assert np.array_equal(other.labels, ds.labels), threads
 
-    @pytest.mark.parametrize("factor", [
-        0.997,  # chunks start thousands of normals early: shifted left
-        1.003,  # and late: shifted right, their heads from the chunk before
-        1.1,  # so far off that no window is found: drawn on sequentially
-    ])
-    def test_misplaced_chunk_starts_keep_the_bits(self, monkeypatch, factor):
-        n = FILL_ROWS[-1]
-        features, _ = oracle_synthetic(10, n, FILL_D, 4.0, 5)
-        monkeypatch.setattr(learner, "_RAW_PER_NORMAL", learner._RAW_PER_NORMAL * factor)
-        ds = learner.make_synthetic(10, n, FILL_D, 4.0, 5, threads=4)
+    def test_one_chunk_is_the_one_shot_oracle(self):
+        assert C * FILL_D == 2**17
+        ds = learner.make_synthetic(10, C, FILL_D, 4.0, 3, threads=4)
+        features, labels = oracle_synthetic(10, C, FILL_D, 4.0, 3)
         assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
 
-    def test_fill_chunks_capped_without_starting_threads(self, monkeypatch):
-        chunks = learner._fill_chunks(70_000, 784, 10**6)
-        assert len(chunks) == 70_000 * 784 // learner._MIN_CHUNK == 52
-        assert chunks[0][0] == 0 and chunks[-1][1] == 70_000
-        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-        assert len(learner._fill_chunks(3, 2**30, 10**6)) == 3  # one row each at most
-        assert learner._fill_chunks(FILL_ROWS[0], FILL_D, 10**6) == [(0, FILL_ROWS[0])]
+    def test_second_chunk_draws_from_its_own_stream(self):
+        n, seed = C + 1, 3
+        ds = learner.make_synthetic(10, n, FILL_D, 4.0, seed, threads=2)
+        _, means, labels = oracle_class_draws(10, n, FILL_D, 4.0, seed)
+        half = n // 2  # chunk 0 is rows [0, half), chunk 1 rows [half, n)
+        oracle = oracle_synthetic(10, n, FILL_D, 4.0, seed)[0]
+        assert np.array_equal(ds.features[:half], oracle[:half])
+        own = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        expect = means[labels[half:]] + own.standard_normal((n - half, FILL_D))
+        assert np.array_equal(ds.features[half:], expect)
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         started = []
         monkeypatch.setattr(learner, "ThreadPoolExecutor", InlinePool(started))
-        n = FILL_ROWS[-1]
+        n = FILL_ROWS[-1]  # five chunks
         ds = learner.make_synthetic(10, n, FILL_D, 4.0, 6, threads=10**6)
-        assert started == [len(learner._fill_chunks(n, FILL_D, 10**6))] == [4]
-        assert np.array_equal(ds.features, oracle_synthetic(10, n, FILL_D, 4.0, 6)[0])
-        learner.make_synthetic(10, FILL_ROWS[0], FILL_D, 4.0, 6, threads=10**6)
-        assert started == [4]  # one chunk: drawn inline, no pool
+        learner.make_synthetic(10, n, FILL_D, 4.0, 6, threads=2)
+        assert started == [5, 2]
+        assert np.array_equal(ds.features, learner.make_synthetic(10, n, FILL_D, 4.0, 6).features)
+        learner.make_synthetic(10, C, FILL_D, 4.0, 6, threads=10**6)
+        assert started == [5, 2]  # threads=1 above and one chunk here: inline, no pool
 
     def test_peak_memory_is_one_feature_array(self):
         for threads in (1, 2):

@@ -173,6 +173,12 @@ class TestConvergenceBound:
                 for s in (0.5, 1, 2, 4)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("key", ["gap", "sigma_l1"])
+    def test_rejects_negative_gap_or_noise_scale(self, key):
+        with pytest.raises(UsageError, match="non-negative"):
+            theory.convergence_bound(**default_inputs(**{key: -1e-12}))
+        assert theory.convergence_bound(**default_inputs(**{key: 0.0})) > 0
+
     def test_rejects_indivisible_rounds(self):
         with pytest.raises(UsageError):
             theory.convergence_bound(**default_inputs(N=401))
