@@ -6,18 +6,21 @@ the report so a failure is self-explaining.  Bound checks are one-sided:
 the closed forms are conservative upper bounds, so the simulator must
 never exceed them (plus 3 standard errors of slack).
 
-Slot noise and votes come from ``phy``, the simulator's own receiver.  The
-flip-bound grid of ``run_default_suite`` draws each (M, q) cohort once and
-scores it under the noise variance of every SNR point, so the four reports
-of one cohort share their votes and intensities: they are correlated.
+Slot noise and votes come from ``phy``, the simulator's own receiver.
+``run_default_suite`` reads every flip-bound (M, q) cell and both
+Corollary-1 cells off the first M nodes of one shared cohort, and scores
+each flip-bound cell under the noise variance of every SNR point: its 36
+flip-bound and 2 Corollary-1 reports share votes and intensities, so they
+are correlated across SNR, M and q.  Its six q-bound reports all run at
+d_b = 1, so they share one stream of normals too.
 
 A cohort is simulated in row blocks of about ``_BLOCK_ELEMENTS`` votes
 over ``threads`` worker threads (``_cohort_sums``).  Each block reads its
 slice of the cohort's uniform draws from a generator advanced to that
 slice, so every report, and every generator state after it, is the same
-bits for any thread count.  Only per-sample (samples,) arrays and a few
-block-sized temporaries per worker are alive at once; no (samples, M)
-array is built.
+bits for any thread count.  The calling thread reduces each block to
+integer counts as it comes back, so only the two slot normals, of
+``samples`` each, and a few block-sized temporaries per worker are alive.
 """
 
 import math
@@ -66,21 +69,26 @@ def verify_energy_means(
     samples: int,
     seed: int = 0,
 ) -> list[McReport]:
-    """Empirical slot-energy means for a fixed vote split vs. closed form."""
+    """Empirical slot-energy means for a fixed vote split vs. closed form.
+
+    Each slot sums its intensities in row blocks read at their offsets, with
+    the bits of one ``sample_intensities`` call, then draws its normals."""
     th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
 
     reports = []
     for slot, count, mu in (("plus", m_plus, mu_plus), ("minus", m_minus, mu_minus)):
+        signal = np.zeros(samples)
         if count > 0:
-            intens = ch.sample_intensities(params, rng, samples * count)
-            signal = intens.reshape(samples, count).sum(axis=1)
-        else:
-            signal = np.zeros(samples)
-        e = phy.received(signal, params.sigma_n2, rng.standard_normal(samples))
-        emp = float(e.mean())
-        se = float(e.std(ddof=1) / np.sqrt(samples))
+            state, size = rng.bit_generator.state, samples * count
+            for lo, hi in _row_blocks(samples, count):
+                signal[lo:hi] = _intensities_at(params, state, lo * count, size,
+                                                hi - lo, count).sum(axis=1)
+            rng.bit_generator.advance(2 * size)
+        signal = phy.received(signal, params.sigma_n2, rng.standard_normal(samples))
+        emp = float(signal.mean())
+        se = float(signal.std(ddof=1) / np.sqrt(samples))
         reports.append(
             McReport(
                 name=f"energy_mean_{slot}[m+={m_plus},m-={m_minus}]",
@@ -95,9 +103,15 @@ def verify_energy_means(
     return reports
 
 
-# Elements (rows * M) per block of the cohort kernel: each of a block's
-# few float64 temporaries is 1 MiB, whatever the cohort size.
+# Elements (rows * width) per row block of a draw: each of a block's few
+# float64 temporaries is 1 MiB, whatever the cohort size.
 _BLOCK_ELEMENTS = 2**17
+
+
+def _row_blocks(samples: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges of a (samples, width) draw, about ``_BLOCK_ELEMENTS`` each."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
 
 def _generator_at(bit_generator: np.random.PCG64, state: dict,
@@ -109,81 +123,119 @@ def _generator_at(bit_generator: np.random.PCG64, state: dict,
     return np.random.Generator(bit_generator.advance(offset))
 
 
+def _intensities_at(params: ChannelConfig, state: dict, offset: int, size: int,
+                    rows: int, width: int) -> np.ndarray:
+    """(rows, width) intensities from elements offset.. (distances) and
+    size + offset.. (pointing gains) of one ``random`` draw from ``state``."""
+    bits, n = np.random.PCG64(0), rows * width  # a fixed seed skips OS entropy
+    return ch._intensity(params, _generator_at(bits, state, offset).random(n),
+                         _generator_at(bits, state, size + offset).random(n)
+                         ).reshape(rows, width)
+
+
 def _cohort_sums(
-    M: int,
-    q_i: float,
+    cells: list[tuple[int, float]],
     params: ChannelConfig,
     samples: int,
     rng: np.random.Generator,
     threads: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noise-free slot energies (e+, e-) and correct-vote counts per sample.
+):
+    """Noise-free slot energies (e+, e-) and correct-vote counts of (M, q)
+    cells on one cohort, as an iterator of (lo, hi, e+, e-, n+) per row
+    block in row order, each (cells, rows).
 
-    The one superposition outside ``phy``: every sample has its own fading,
-    so a block sums each row's M products along its node axis.
-    ``rng`` draws ``samples * M`` uniforms for the votes (row-major), then
-    as many distances, then as many pointing gains; each row block reads
-    its slice of the three draws and sums its M products in the same order
-    as a whole-cohort pass, so results and the final ``rng`` state do not
-    depend on ``threads`` or the block size.
+    ``rng`` draws ``samples * W`` uniforms for the votes of W = max M nodes
+    (row-major), then as many distances, then as many pointing gains, and
+    is advanced past them on the call.  Cell (M, q) reads node columns
+    [:M]; a node votes for the true sign +1 when its uniform is >= q.  The
+    one superposition outside ``phy``: every sample has its own fading, so
+    a block sums each row's M products along its node axis.  Worker threads
+    build each block from its slice of the three draws, in the order of a
+    whole-cohort pass, so the sums do not depend on ``threads`` or the
+    block size.
     """
-    state = rng.bit_generator.state
-    size = samples * M
-    e_plus = np.empty(samples)
-    e_minus = np.empty(samples)
-    n_plus = np.empty(samples, dtype=np.int64)
-
-    def block(lo: int, hi: int) -> None:
-        rows, start = hi - lo, lo * M
-        # A fixed seed skips gathering OS entropy; _generator_at sets the state.
-        bits = np.random.PCG64(0)
-        correct = _generator_at(bits, state, start).random((rows, M)) >= q_i
-        amp = ch._intensity(
-            params,
-            _generator_at(bits, state, size + start).random(rows * M),
-            _generator_at(bits, state, 2 * size + start).random(rows * M),
-        ).reshape(rows, M)
-        e_plus[lo:hi] = (amp * correct).sum(axis=1)
-        amp *= ~correct
-        e_minus[lo:hi] = amp.sum(axis=1)
-        n_plus[lo:hi] = correct.sum(axis=1)
-
-    step = max(1, _BLOCK_ELEMENTS // M)
-    blocks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-    workers = min(threads, len(blocks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        list((pool.map if pool else map)(lambda b: block(*b), blocks))
+    width = max(M for M, _ in cells)
+    state, size = rng.bit_generator.state, samples * width
     rng.bit_generator.advance(3 * size)
-    return e_plus, e_minus, n_plus
+
+    def block(lo: int, hi: int):
+        rows, start = hi - lo, lo * width
+        amp = _intensities_at(params, state, size + start, size, rows, width)
+        u = _generator_at(np.random.PCG64(0), state, start).random((rows, width))
+        votes = {q_i: u >= q_i for q_i in {q_i for _, q_i in cells}}
+        e = np.empty((2, len(cells), rows))
+        n_plus = np.empty((len(cells), rows), dtype=np.int64)
+        for c, (M, q_i) in enumerate(cells):
+            correct = votes[q_i][:, :M]
+            # Each cell's products reuse the uniforms' buffer.
+            signal = np.multiply(amp[:, :M], correct, out=u[:, :M])
+            e[0, c] = signal.sum(axis=1)
+            e[1, c] = np.subtract(amp[:, :M], signal, out=signal).sum(axis=1)
+            n_plus[c] = correct.sum(axis=1)
+        return lo, hi, e[0], e[1], n_plus
+
+    def run(blocks: list, workers: int):
+        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            yield from (pool.map if pool else map)(lambda b: block(*b), blocks)
+
+    blocks = _row_blocks(samples, width)
+    return run(blocks, min(threads, len(blocks)))
 
 
-def _simulate_flips(
-    M: int,
-    q_i: float,
+def _cohort_counts(
+    cells: list[tuple[int, float]],
     params: ChannelConfig,
     noise_variances: list[float],
     samples: int,
     rng: np.random.Generator,
     threads: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Vectorized vote/transmit/detect rounds with true sign +1.
+) -> tuple[list, list, list]:
+    """Vote/transmit/detect rounds with true sign +1, reduced to counts.
 
-    One cohort draw on ``params`` (votes and intensities) is scored under
-    each receiver-noise variance: every variance scales the same pair of
-    standard normals, drawn right after the cohort, through
-    ``phy.received``, so each gets the bits it would get drawing from that
-    state alone.  A zero variance scales them by zero, which adds nothing.
-
-    Returns (flip indicator per sample, for each variance; correct-vote
-    count per sample).
+    One cohort (``_cohort_sums``) is scored under each receiver-noise
+    variance: every variance scales the pair of standard normals drawn
+    right after the cohort through ``phy.received``, so a one-cell call
+    gets the bits of drawing that state alone.  A zero variance adds
+    nothing.  The calling thread scores each block as it comes back, so the
+    normals are the only per-sample arrays.  Returns flips (cells,
+    variances), strict-majority rows (cells,) and their flips (cells,
+    variances).
     """
-    e_plus, e_minus, n_plus = _cohort_sums(M, q_i, params, samples, rng, threads)
-    z_plus = rng.standard_normal(samples)
-    z_minus = rng.standard_normal(samples)
-    flips = [phy.detect_mv(phy.received(e_plus, s2, z_plus),
-                           phy.received(e_minus, s2, z_minus)) == -1
-             for s2 in noise_variances]
-    return flips, n_plus
+    blocks = _cohort_sums(cells, params, samples, rng, threads)
+    z_plus, z_minus = rng.standard_normal(samples), rng.standard_normal(samples)
+    half = np.array([M for M, _ in cells])[:, None] / 2
+    flips = np.zeros((len(cells), len(noise_variances)), dtype=np.int64)
+    majorities = np.zeros(len(cells), dtype=np.int64)
+    flips_in_majority = np.zeros_like(flips)
+    for lo, hi, e_plus, e_minus, n_plus in blocks:
+        majority = n_plus > half
+        majorities += majority.sum(axis=1)
+        for v, s2 in enumerate(noise_variances):
+            flipped = phy.detect_mv(phy.received(e_plus, s2, z_plus[lo:hi]),
+                                    phy.received(e_minus, s2, z_minus[lo:hi])) == -1
+            flips[:, v] += flipped.sum(axis=1)
+            flips_in_majority[:, v] += (flipped & majority).sum(axis=1)
+    return flips.tolist(), majorities.tolist(), flips_in_majority.tolist()
+
+
+def _bound_reports(M: int, q_i: float, params: ChannelConfig, noise_variances: list[float],
+                   samples: int, flips: list[int]) -> list[McReport]:
+    reports = []
+    for sigma_n2, n_flips in zip(noise_variances, flips):
+        xi = theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2
+        bound = theory.error_bound(M, xi, q_i)
+        rate = n_flips / samples
+        se = _binomial_se(rate, samples)
+        reports.append(McReport(
+            name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
+            samples=samples,
+            empirical=rate,
+            theoretical=bound,
+            standard_error=se,
+            passed=rate <= bound + 3.0 * se,
+            tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
+        ))
+    return reports
 
 
 def verify_error_bounds(
@@ -197,27 +249,12 @@ def verify_error_bounds(
 ) -> list[McReport]:
     """Empirical MV flip rate vs. the closed-form upper bound, per noise variance.
 
-    The variances share one cohort draw (see ``_simulate_flips``), so their
+    The variances share one cohort draw (see ``_cohort_counts``), so their
     reports are correlated, not independent.
     """
     rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    all_flips, _ = _simulate_flips(M, q_i, params, noise_variances, samples, rng, threads)
-    reports = []
-    for sigma_n2, flips in zip(noise_variances, all_flips):
-        xi = theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2
-        bound = theory.error_bound(M, xi, q_i)
-        rate = float(flips.mean())
-        se = _binomial_se(rate, samples)
-        reports.append(McReport(
-            name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
-            samples=samples,
-            empirical=rate,
-            theoretical=bound,
-            standard_error=se,
-            passed=rate <= bound + 3.0 * se,
-            tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
-        ))
-    return reports
+    flips, _, _ = _cohort_counts([(M, q_i)], params, noise_variances, samples, rng, threads)
+    return _bound_reports(M, q_i, params, noise_variances, samples, flips[0])
 
 
 # Kept for perfbench: BENCHMARK.json lists its per-layer metrics.
@@ -253,6 +290,21 @@ def verify_q_bound(
     )
 
 
+def _corollary_report(M: int, q_i: float, n_cond: int, n_flips: int) -> McReport:
+    if n_cond == 0:
+        raise UsageError("no samples realized a strict majority; increase samples")
+    rate = n_flips / n_cond
+    return McReport(
+        name=f"corollary1[M={M},q={q_i}]",
+        samples=n_cond,
+        empirical=rate,
+        theoretical=0.5,
+        standard_error=_binomial_se(rate, n_cond),
+        passed=rate < 0.5,
+        tolerance_rule="conditional flip rate < 1/2 given realized strict majority",
+    )
+
+
 def verify_corollary1(
     M: int,
     q_i: float,
@@ -262,28 +314,15 @@ def verify_corollary1(
     threads: int = 1,
 ) -> McReport:
     """Conditional flip rate given a realized strict +1 majority must be < 1/2."""
-    rng = derive(seed, TAG_MC, 4, M)
-    (flips,), n_plus = _simulate_flips(M, q_i, params, [params.sigma_n2], samples, rng, threads)
-    majority = n_plus > M / 2
-    n_cond = int(majority.sum())
-    if n_cond == 0:
-        raise UsageError("no samples realized a strict majority; increase samples")
-    rate = float(flips[majority].mean())
-    se = _binomial_se(rate, n_cond)
-    return McReport(
-        name=f"corollary1[M={M},q={q_i}]",
-        samples=n_cond,
-        empirical=rate,
-        theoretical=0.5,
-        standard_error=se,
-        passed=rate < 0.5,
-        tolerance_rule="conditional flip rate < 1/2 given realized strict majority",
-    )
+    _, majorities, flips = _cohort_counts([(M, q_i)], params, [params.sigma_n2], samples,
+                                          derive(seed, TAG_MC, 4, M), threads)
+    return _corollary_report(M, q_i, majorities[0], flips[0][0])
 
 
 DEFAULT_XI_GRID = (0.5, 1.0, 5.0, 20.0)
 DEFAULT_M_GRID = (4, 10, 50)
 DEFAULT_Q_GRID = (0.05, 0.2, 0.4)
+COROLLARY_CELLS = ((11, 0.1), (101, 0.4))
 
 
 def run_default_suite(
@@ -291,10 +330,11 @@ def run_default_suite(
 ) -> list[McReport]:
     """Full verification sweep used by the `verify` CLI subcommand.
 
-    The error-bound grid draws each (M, q) cohort once and scores it at
-    every SNR point; the reports come out SNR-major, then M, then q.
-    ``threads`` sets the workers of the cohort kernel; the reports do not
-    depend on it.
+    Every flip-bound (M, q) cell and both Corollary-1 cells read the first M
+    nodes of one shared cohort, scored at every SNR point (Corollary 1 at
+    the unit channel's own); the flip-bound reports come out SNR-major,
+    then M, then q.  ``threads`` sets the workers of the cohort kernel; the
+    reports do not depend on it.
     """
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
@@ -305,17 +345,17 @@ def run_default_suite(
                                    samples=samples, seed=seed)
 
     noise = [unit_channel(xi_snr=xi).sigma_n2 for xi in DEFAULT_XI_GRID]
-    by_cohort = [verify_error_bounds(M, q, params, noise, samples, seed=seed, threads=threads)
-                 for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]
-    for per_snr in zip(*by_cohort):
+    cells = [(M, q) for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]
+    flips, majorities, flips_in_majority = _cohort_counts(
+        cells + list(COROLLARY_CELLS), params, noise, samples, derive(seed, TAG_MC, 5), threads)
+    by_cell = [_bound_reports(M, q, params, noise, samples, f) for (M, q), f in zip(cells, flips)]
+    for per_snr in zip(*by_cell):
         reports += per_snr
 
-    for ratio in (0.0, 0.5, 1.0, 2.0 / math.sqrt(3.0), 2.0, 3.0):
-        reports.append(
-            verify_q_bound(g_abs=ratio, alpha=1.0, d_b=1, samples=samples, seed=seed)
-        )
+    reports += [verify_q_bound(g_abs=ratio, alpha=1.0, d_b=1, samples=samples, seed=seed)
+                for ratio in (0.0, 0.5, 1.0, 2.0 / math.sqrt(3.0), 2.0, 3.0)]
 
-    for M, q in ((11, 0.1), (101, 0.4)):
-        reports.append(verify_corollary1(M, q, params, samples, seed=seed,
-                                         threads=threads))
+    own = noise.index(params.sigma_n2)
+    for c, (M, q) in enumerate(COROLLARY_CELLS, len(cells)):
+        reports.append(_corollary_report(M, q, majorities[c], flips_in_majority[c][own]))
     return reports

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -37,6 +38,12 @@ def single_draw_sums(M, q_i, params, samples, rng):
     return (amp * correct).sum(axis=1), (amp * ~correct).sum(axis=1), correct.sum(axis=1)
 
 
+def cohort_sums(M, q_i, params, samples, rng, threads):
+    """The kernel's row blocks for the one cell (M, q_i), joined into whole arrays."""
+    blocks = list(mc._cohort_sums([(M, q_i)], params, samples, rng, threads))
+    return tuple(np.concatenate([b[k][0] for b in blocks]) for k in (2, 3, 4))
+
+
 def single_draw_error_bound(M, q_i, params, samples, seed):
     """Oracle: the error-bound report with the cohort drawn for this channel alone."""
     xi = theory.theta(1.0, ch.lambda_eff(params)) / params.sigma_n2
@@ -72,6 +79,81 @@ def single_draw_corollary1(M, q_i, params, samples, seed):
         passed=rate < 0.5,
         tolerance_rule="conditional flip rate < 1/2 given realized strict majority",
     )
+
+
+def shared_cohort_oracle(samples, seed):
+    """Oracle: the suite's flip-bound reports, SNR-major, then its two
+    Corollary-1 reports, from one sequential draw of a 101-node cohort on
+    the suite's key, sliced to each cell's first M nodes."""
+    params = mc.unit_channel(xi_snr=1.0)
+    rng = derive(seed, TAG_MC, 5)
+    u = rng.random((samples, 101))
+    amp = ch.sample_intensities(params, rng, samples * 101).reshape(samples, 101)
+    z_plus, z_minus = rng.standard_normal(samples), rng.standard_normal(samples)
+
+    def flips(M, q_i, sigma_n2):
+        correct = u[:, :M] >= q_i
+        noise = sigma_n2 + np.sqrt(sigma_n2) * z_plus, sigma_n2 + np.sqrt(sigma_n2) * z_minus
+        e_plus = (amp[:, :M] * correct).sum(axis=1) + noise[0]
+        e_minus = (amp[:, :M] * ~correct).sum(axis=1) + noise[1]
+        return e_plus - e_minus < 0.0, correct.sum(axis=1) > M / 2
+
+    reports = []
+    for xi in mc.DEFAULT_XI_GRID:
+        for M in mc.DEFAULT_M_GRID:
+            for q_i in mc.DEFAULT_Q_GRID:
+                sigma_n2 = mc.unit_channel(xi_snr=xi).sigma_n2
+                rate = float(flips(M, q_i, sigma_n2)[0].mean())
+                se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / samples)
+                bound = theory.error_bound(M, theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2, q_i)
+                reports.append(mc.McReport(
+                    name=f"error_bound[M={M},xi={xi:.3g},q={q_i}]",
+                    samples=samples,
+                    empirical=rate,
+                    theoretical=bound,
+                    standard_error=se,
+                    passed=rate <= bound + 3.0 * se,
+                    tolerance_rule="empirical <= bound + 3 SE (one-sided, bound is conservative)",
+                ))
+    for M, q_i in ((11, 0.1), (101, 0.4)):
+        flipped, majority = flips(M, q_i, params.sigma_n2)
+        rate = float(flipped[majority].mean())
+        n_cond = int(majority.sum())
+        reports.append(mc.McReport(
+            name=f"corollary1[M={M},q={q_i}]",
+            samples=n_cond,
+            empirical=rate,
+            theoretical=0.5,
+            standard_error=math.sqrt(max(rate * (1.0 - rate), 1e-12) / n_cond),
+            passed=rate < 0.5,
+            tolerance_rule="conditional flip rate < 1/2 given realized strict majority",
+        ))
+    return reports
+
+
+def whole_draw_energy_means(params, m_plus, m_minus, samples, seed):
+    """Oracle: verify_energy_means drawing each slot's intensities in one call."""
+    th = theory.theta(1.0, ch.lambda_eff(params))
+    mus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
+    rng = derive(seed, TAG_MC, 1)
+    reports = []
+    for slot, count, mu in zip(("plus", "minus"), (m_plus, m_minus), mus):
+        signal = np.zeros(samples)
+        if count > 0:
+            intens = ch.sample_intensities(params, rng, samples * count)
+            signal = intens.reshape(samples, count).sum(axis=1)
+        e = signal + params.sigma_n2 + np.sqrt(params.sigma_n2) * rng.standard_normal(samples)
+        emp, se = float(e.mean()), float(e.std(ddof=1) / np.sqrt(samples))
+        reports.append(mc.McReport(
+            name=f"energy_mean_{slot}[m+={m_plus},m-={m_minus}]",
+            samples=samples,
+            empirical=emp,
+            theoretical=mu,
+            standard_error=se,
+            passed=abs(emp - mu) <= 3.0 * se,
+            tolerance_rule="|empirical - theoretical| <= 3 SE (two-sided)",
+        ))
+    return reports
 
 
 class TestUnitChannel:
@@ -115,6 +197,32 @@ class TestVerifyEnergyMeans:
             assert r.theoretical == pytest.approx(expected)
 
 
+    @pytest.mark.parametrize("block_elements", [None, 4096])
+    @pytest.mark.parametrize("m_plus,m_minus,samples", [(5, 5, 30_011), (0, 3, 10_000),
+                                                        (7, 3, 20_000)])
+    def test_row_blocks_match_whole_draw_oracle(self, monkeypatch, m_plus, m_minus,
+                                                samples, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block_elements)
+        params = mc.unit_channel(xi_snr=1.0)
+        got = mc.verify_energy_means(params, m_plus, m_minus, samples, seed=2)
+        want = whole_draw_energy_means(params, m_plus, m_minus, samples, seed=2)
+        assert [asdict(r) for r in got] == [asdict(r) for r in want]
+
+    def test_peak_memory_is_a_few_sample_arrays(self):
+        # The whole-array draw peaked at 129.7 MiB here: 5 M float64
+        # intensities (38 MiB) and their temporaries.  Each per-sample array
+        # is 7.6 MiB; phy.received holds four of them at once.
+        params = mc.unit_channel(xi_snr=1.0)
+        tracemalloc.start()
+        try:
+            mc.verify_energy_means(params, m_plus=5, m_minus=5, samples=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
 class TestVerifyErrorBound:
     def test_typical_case_passes(self):
         params = mc.unit_channel(xi_snr=1.0)
@@ -135,6 +243,21 @@ class TestVerifyErrorBound:
         a = mc.verify_error_bound(11, 0.2, params, samples=20_000, seed=7)
         b = mc.verify_error_bound(11, 0.2, params, samples=20_000, seed=7)
         assert a == b
+
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_standalone_checks_match_single_draw_oracles(self, seed):
+        # The one-cell checks keep their own keys and their bits: each
+        # draws a cohort of its own M alone.
+        for xi in (0.5, 20.0):
+            params = mc.unit_channel(xi_snr=xi)
+            for M, q in ((4, 0.05), (50, 0.4)):
+                got = mc.verify_error_bound(M, q, params, samples=20_000, seed=seed, threads=2)
+                assert asdict(got) == asdict(single_draw_error_bound(M, q, params, 20_000, seed))
+        params = mc.unit_channel(xi_snr=1.0)
+        for M, q in mc.COROLLARY_CELLS:
+            got = mc.verify_corollary1(M, q, params, samples=20_000, seed=seed, threads=2)
+            assert asdict(got) == asdict(single_draw_corollary1(M, q, params, 20_000, seed))
 
 
 class TestVerifyErrorBounds:
@@ -164,7 +287,7 @@ class TestCohortKernel:
         params = mc.unit_channel(xi_snr=1.0)
         rng = derive(3, TAG_MC, 2, M)
         ref_rng = derive(3, TAG_MC, 2, M)
-        got = mc._cohort_sums(M, 0.2, params, samples, rng, threads)
+        got = cohort_sums(M, 0.2, params, samples, rng, threads)
         want = single_draw_sums(M, 0.2, params, samples, ref_rng)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -175,7 +298,7 @@ class TestCohortKernel:
         # Each row's (e+, e-) is noise-free phy.superpose_frame on that
         # row's +-1 votes at unit power; the sums differ only in order.
         params = mc.unit_channel(xi_snr=1.0)
-        e_plus, e_minus, _ = mc._cohort_sums(M, 0.2, params, 300, derive(6, TAG_MC), 1)
+        e_plus, e_minus, _ = cohort_sums(M, 0.2, params, 300, derive(6, TAG_MC), 1)
         rng = derive(6, TAG_MC)
         correct = rng.random((300, M)) >= 0.2
         amp = ch.sample_intensities(params, rng, 300 * M).reshape(300, M)
@@ -193,7 +316,7 @@ class TestCohortKernel:
         params = mc.unit_channel(xi_snr=1.0)
         got = []
         runner = threading.Thread(target=lambda: got.extend(
-            mc._cohort_sums(11, 0.3, params, 10_010, derive(1, TAG_MC), 3)))
+            cohort_sums(11, 0.3, params, 10_010, derive(1, TAG_MC), 3)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -206,6 +329,23 @@ class TestCohortKernel:
         assert len(got) == 3
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_public_channel_and_phy_code_runs_on_the_calling_thread(self, monkeypatch):
+        # A benchmark tracer keeps one span stack and wraps every public
+        # function of phy and channel, so the workers call private helpers only.
+        callers = set()
+
+        def recorded(fn):
+            return lambda *args, **kwargs: callers.add(threading.get_ident()) or fn(*args, **kwargs)
+
+        for module in (phy, ch):
+            for name, fn in list(vars(module).items()):
+                if inspect.isfunction(fn) and not name.startswith("_") \
+                        and fn.__module__ == module.__name__:
+                    monkeypatch.setattr(module, name, recorded(fn))
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 4096)
+        mc.run_default_suite(samples=10_000, seed=0, threads=3)
+        assert callers == {threading.get_ident()}
 
     @pytest.mark.parametrize("offset", [0, 1, 4_095, 123_457])
     def test_generator_at_offset_is_a_slice_of_one_draw(self, offset):
@@ -228,10 +368,10 @@ class TestCohortKernel:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
         params = mc.unit_channel(xi_snr=1.0)
         # 10,007 x 4 is one block: no pool at all.
-        mc._cohort_sums(4, 0.2, params, 10_007, derive(0, TAG_MC), threads=3)
+        cohort_sums(4, 0.2, params, 10_007, derive(0, TAG_MC), threads=3)
         assert started == []
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 4 * 6_000)
-        mc._cohort_sums(4, 0.2, params, 10_007, derive(0, TAG_MC), threads=3)
+        cohort_sums(4, 0.2, params, 10_007, derive(0, TAG_MC), threads=3)
         assert started == [2]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -305,18 +445,24 @@ class TestDefaultSuite:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bit_identical_to_single_draw_oracle(self, seed):
         reports = mc.run_default_suite(samples=20_000, seed=seed)
-        bounds = [asdict(r) for r in reports if r.name.startswith("error_bound")]
-        assert bounds == [
-            asdict(single_draw_error_bound(M, q, mc.unit_channel(xi_snr=xi), 20_000, seed))
-            for xi in mc.DEFAULT_XI_GRID
-            for M in mc.DEFAULT_M_GRID
-            for q in mc.DEFAULT_Q_GRID
-        ]
+        shared = [asdict(r) for r in reports
+                  if r.name.startswith(("error_bound", "corollary1"))]
+        assert shared == [asdict(r) for r in shared_cohort_oracle(20_000, seed)]
+
+    def test_shared_cohort_peak_memory_is_a_few_blocks(self):
+        # The eleven cells share one 101-node cohort: one block of votes and
+        # intensities at a time, the two slot normals, and integer counts.
         params = mc.unit_channel(xi_snr=1.0)
-        assert [asdict(r) for r in reports[-2:]] == [
-            asdict(single_draw_corollary1(M, q, params, 20_000, seed))
-            for M, q in ((11, 0.1), (101, 0.4))
-        ]
+        cells = [(M, q) for M in mc.DEFAULT_M_GRID for q in mc.DEFAULT_Q_GRID]
+        noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in mc.DEFAULT_XI_GRID]
+        tracemalloc.start()
+        try:
+            mc._cohort_counts(cells + list(mc.COROLLARY_CELLS), params, noise,
+                              100_000, derive(0, TAG_MC, 5), threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mc._BLOCK_ELEMENTS * 8
 
     def test_report_bytes_do_not_depend_on_threads(self):
         dumps = {
