@@ -15,12 +15,14 @@ are correlated across SNR, M and q.  Its six q-bound reports all run at
 d_b = 1, so they share one stream of normals too.
 
 A cohort is simulated in row blocks of about ``_BLOCK_ELEMENTS`` votes
-over ``threads`` worker threads (``_cohort_sums``).  Each block reads its
-slice of the cohort's uniform draws from a generator advanced to that
-slice, so every report, and every generator state after it, is the same
-bits for any thread count.  The calling thread reduces each block to
-integer counts as it comes back, so only the two slot normals, of
-``samples`` each, and a few block-sized temporaries per worker are alive.
+over ``threads`` worker threads (``_cohort_sums``), as are the slot-energy
+check's intensities.  Each block reads its slice of the draws from a
+generator advanced to that slice, and each cell of a block is a per-row
+dot product whose summation order is fixed per row, so every report, and
+every generator state after it, is the same bits for any thread count or
+block size.  The calling thread reduces each block to counts as it comes
+back, so only the two slot normals, of ``samples`` each, and a few
+block-sized temporaries per worker are alive.
 """
 
 import math
@@ -68,11 +70,13 @@ def verify_energy_means(
     m_minus: int,
     samples: int,
     seed: int = 0,
+    threads: int = 1,
 ) -> list[McReport]:
     """Empirical slot-energy means for a fixed vote split vs. closed form.
 
     Each slot sums its intensities in row blocks read at their offsets, with
-    the bits of one ``sample_intensities`` call, then draws its normals."""
+    the bits of one ``sample_intensities`` call, on ``threads`` workers;
+    then the calling thread draws its normals."""
     th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
@@ -82,9 +86,10 @@ def verify_energy_means(
         signal = np.zeros(samples)
         if count > 0:
             state, size = rng.bit_generator.state, samples * count
-            for lo, hi in _row_blocks(samples, count):
-                signal[lo:hi] = _intensities_at(params, state, lo * count, size,
-                                                hi - lo, count).sum(axis=1)
+            signal = np.concatenate(list(_map_blocks(
+                lambda lo, hi: _intensities_at(params, state, lo * count, size,
+                                               hi - lo, count).sum(axis=1),
+                _row_blocks(samples, count), threads)))
             rng.bit_generator.advance(2 * size)
         signal = phy.received(signal, params.sigma_n2, rng.standard_normal(samples))
         emp = float(signal.mean())
@@ -133,6 +138,14 @@ def _intensities_at(params: ChannelConfig, state: dict, offset: int, size: int,
                          ).reshape(rows, width)
 
 
+def _map_blocks(fn, blocks: list[tuple[int, int]], threads: int):
+    """``fn(lo, hi)`` of each row block, in block order, on
+    ``min(threads, len(blocks))`` worker threads, or inline at one."""
+    workers = min(threads, len(blocks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        yield from (pool.map if pool else map)(lambda b: fn(*b), blocks)
+
+
 def _cohort_sums(
     cells: list[tuple[int, float]],
     params: ChannelConfig,
@@ -142,44 +155,50 @@ def _cohort_sums(
 ):
     """Noise-free slot energies (e+, e-) and correct-vote counts of (M, q)
     cells on one cohort, as an iterator of (lo, hi, e+, e-, n+) per row
-    block in row order, each (cells, rows).
+    block in row order, each (cells, rows) float64.
 
     ``rng`` draws ``samples * W`` uniforms for the votes of W = max M nodes
     (row-major), then as many distances, then as many pointing gains, and
     is advanced past them on the call.  Cell (M, q) reads node columns
     [:M]; a node votes for the true sign +1 when its uniform is >= q.  The
     one superposition outside ``phy``: every sample has its own fading, so
-    a block sums each row's M products along its node axis.  Worker threads
-    build each block from its slice of the three draws, in the order of a
-    whole-cohort pass, so the sums do not depend on ``threads`` or the
-    block size.
+    each cell is a per-row dot product of the intensities with 0/1 votes
+    (for e-, with 1 - votes).  Every term is an intensity or 0.0, and
+    einsum sums each row on its own in a fixed order, so the sums do not
+    depend on ``threads`` or the block size.  Worker threads build each
+    block from its slice of the three draws, in the order of a
+    whole-cohort pass.
     """
     width = max(M for M, _ in cells)
     state, size = rng.bit_generator.state, samples * width
     rng.bit_generator.advance(3 * size)
+    # Cells by q, widest M last: the last group's votes overwrite the
+    # uniforms, which nothing reads after them; the rest share a spare.
+    by_q: dict[float, list[tuple[int, int]]] = {}
+    for c, (M, q_i) in enumerate(cells):
+        by_q.setdefault(q_i, []).append((c, M))
+    groups = sorted((max(M for _, M in group), q_i, group) for q_i, group in by_q.items())
+    spare = max((top for top, _, _ in groups[:-1]), default=0)
 
     def block(lo: int, hi: int):
         rows, start = hi - lo, lo * width
         amp = _intensities_at(params, state, size + start, size, rows, width)
         u = _generator_at(np.random.PCG64(0), state, start).random((rows, width))
-        votes = {q_i: u >= q_i for q_i in {q_i for _, q_i in cells}}
+        buffer = np.empty((rows, spare))
         e = np.empty((2, len(cells), rows))
-        n_plus = np.empty((len(cells), rows), dtype=np.int64)
-        for c, (M, q_i) in enumerate(cells):
-            correct = votes[q_i][:, :M]
-            # Each cell's products reuse the uniforms' buffer.
-            signal = np.multiply(amp[:, :M], correct, out=u[:, :M])
-            e[0, c] = signal.sum(axis=1)
-            e[1, c] = np.subtract(amp[:, :M], signal, out=signal).sum(axis=1)
-            n_plus[c] = correct.sum(axis=1)
+        n_plus = np.empty((len(cells), rows))
+        for top, q_i, group in groups:
+            v = np.greater_equal(u[:, :top], q_i,
+                                 out=(u if q_i == groups[-1][1] else buffer)[:, :top])
+            for c, M in group:
+                np.einsum("ij,ij->i", amp[:, :M], v[:, :M], out=e[0, c])
+                np.einsum("ij->i", v[:, :M], out=n_plus[c])
+            np.subtract(1.0, v, out=v)  # 1.0 on the wrong votes
+            for c, M in group:
+                np.einsum("ij,ij->i", amp[:, :M], v[:, :M], out=e[1, c])
         return lo, hi, e[0], e[1], n_plus
 
-    def run(blocks: list, workers: int):
-        with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            yield from (pool.map if pool else map)(lambda b: block(*b), blocks)
-
-    blocks = _row_blocks(samples, width)
-    return run(blocks, min(threads, len(blocks)))
+    return _map_blocks(block, _row_blocks(samples, width), threads)
 
 
 def _cohort_counts(
@@ -342,7 +361,7 @@ def run_default_suite(
 
     params = unit_channel(xi_snr=1.0)
     reports += verify_energy_means(params, m_plus=5, m_minus=5,
-                                   samples=samples, seed=seed)
+                                   samples=samples, seed=seed, threads=threads)
 
     noise = [unit_channel(xi_snr=xi).sigma_n2 for xi in DEFAULT_XI_GRID]
     cells = [(M, q) for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]

@@ -32,10 +32,25 @@ def single_draw_flips(M, q_i, params, samples, rng):
 
 
 def single_draw_sums(M, q_i, params, samples, rng):
-    """Oracle: single_draw_flips's noise-free slot energies and vote counts."""
+    """Oracle: single_draw_flips's noise-free slot energies and vote counts.
+
+    Returns (e+, e-, n+) with each row of the whole draw summed as the
+    kernel sums it, one einsum row dot over 0/1 votes, and (e+, e-) as
+    single_draw_flips's pairwise row sums."""
     correct = rng.random((samples, M)) >= q_i
     amp = ch.sample_intensities(params, rng, samples * M).reshape(samples, M)
-    return (amp * correct).sum(axis=1), (amp * ~correct).sum(axis=1), correct.sum(axis=1)
+    votes = correct.astype(float)
+    exact = (np.einsum("ij,ij->i", amp, votes), np.einsum("ij,ij->i", amp, 1.0 - votes),
+             correct.sum(axis=1))
+    return exact, ((amp * correct).sum(axis=1), (amp * ~correct).sum(axis=1))
+
+
+def assert_matches_single_draw(got, want):
+    exact, pairwise = want
+    for g, w in zip(got, exact):
+        assert np.array_equal(g, w)
+    for g, w in zip(got, pairwise):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 def cohort_sums(M, q_i, params, samples, rng, threads):
@@ -288,10 +303,25 @@ class TestCohortKernel:
         rng = derive(3, TAG_MC, 2, M)
         ref_rng = derive(3, TAG_MC, 2, M)
         got = cohort_sums(M, 0.2, params, samples, rng, threads)
-        want = single_draw_sums(M, 0.2, params, samples, ref_rng)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert_matches_single_draw(got, single_draw_sums(M, 0.2, params, samples, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_cells_of_several_q_match_sequential_draw(self, monkeypatch):
+        # Two q groups reach the widest column, so only the last may write
+        # its votes over the uniforms.
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 4096)
+        cells = [(11, 0.3), (4, 0.3), (11, 0.2), (7, 0.05), (7, 0.2)]
+        params = mc.unit_channel(xi_snr=1.0)
+        got = list(mc._cohort_sums(cells, params, 5_000, derive(8, TAG_MC), 2))
+        rng = derive(8, TAG_MC)
+        u = rng.random((5_000, 11))
+        amp = ch.sample_intensities(params, rng, 5_000 * 11).reshape(5_000, 11)
+        for c, (M, q_i) in enumerate(cells):
+            votes = (u[:, :M] >= q_i).astype(float)
+            want = (np.einsum("ij,ij->i", amp[:, :M], votes),
+                    np.einsum("ij,ij->i", amp[:, :M], 1.0 - votes), votes.sum(axis=1))
+            for k, w in zip((2, 3, 4), want):
+                assert np.array_equal(np.concatenate([b[k][c] for b in got]), w)
 
     @pytest.mark.parametrize("M", [4, 11])
     def test_rows_are_phy_superpositions(self, M):
@@ -325,10 +355,9 @@ class TestCohortKernel:
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        want = single_draw_sums(11, 0.3, params, 10_010, derive(1, TAG_MC))
         assert len(got) == 3
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert_matches_single_draw(got, single_draw_sums(11, 0.3, params, 10_010,
+                                                         derive(1, TAG_MC)))
 
     def test_public_channel_and_phy_code_runs_on_the_calling_thread(self, monkeypatch):
         # A benchmark tracer keeps one span stack and wraps every public
@@ -464,6 +493,23 @@ class TestDefaultSuite:
             tracemalloc.stop()
         assert peak < 8 * mc._BLOCK_ELEMENTS * 8
 
+    def test_shared_cohort_peak_memory_on_two_threads(self):
+        # Each worker holds its block's intensities and uniforms, a spare
+        # half-block of votes and the draw's temporaries; the calling
+        # thread holds the two slot normals.
+        params = mc.unit_channel(xi_snr=1.0)
+        cells = [(M, q) for M in mc.DEFAULT_M_GRID for q in mc.DEFAULT_Q_GRID]
+        noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in mc.DEFAULT_XI_GRID]
+        samples = 100_000
+        tracemalloc.start()
+        try:
+            mc._cohort_counts(cells + list(mc.COROLLARY_CELLS), params, noise,
+                              samples, derive(0, TAG_MC, 5), threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 5 * mc._BLOCK_ELEMENTS * 8 + 2 * 8 * samples
+
     def test_report_bytes_do_not_depend_on_threads(self):
         dumps = {
             json.dumps([asdict(r) for r in
@@ -472,11 +518,23 @@ class TestDefaultSuite:
         }
         assert len(dumps) == 1
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_report_bytes_do_not_depend_on_block_size(self, monkeypatch, threads):
+        def dump():
+            return json.dumps([asdict(r) for r in
+                               mc.run_default_suite(samples=20_000, seed=0, threads=threads)])
+
+        default = dump()
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 4096)
+        assert dump() == default
+
     def test_rejects_too_few_samples_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):
-            raise AssertionError("drew intensities before validating samples")
+            raise AssertionError("drew before validating samples")
 
-        monkeypatch.setattr(ch, "sample_intensities", no_draws)
+        # Every draw of the suite goes through these two.
+        monkeypatch.setattr(mc, "_intensities_at", no_draws)
+        monkeypatch.setattr(mc, "_cohort_counts", no_draws)
         with pytest.raises(UsageError, match="1e4"):
             mc.run_default_suite(samples=9_999)
 
