@@ -7,13 +7,12 @@ so the MV update is a plain vector step.
 """
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FormatError, UsageError
+from .rng import _map_blocks, _row_blocks
 
 
 @dataclass
@@ -56,12 +55,6 @@ _CHUNK_NORMALS = 2**17  # about this many normals (1 MiB) per make_synthetic chu
 _MIN_BLOCK_MACS = 2**21
 
 
-def _row_blocks(n: int, rows: int):
-    """(start, stop) of ceil(n / rows) near-equal blocks covering range(n)."""
-    k = -(-n // rows)
-    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
-
-
 def _class_draws(num_classes: int, n: int, d: int, separation: float, seed: int):
     """make_synthetic's generator, class means and labels, drawn before any feature."""
     rng = np.random.default_rng(seed)
@@ -89,17 +82,14 @@ def make_synthetic(
     """
     rng, means, labels = _class_draws(num_classes, n, d, separation, seed)
     features = np.empty((n, d))
-    chunks = _row_blocks(n, max(1, _CHUNK_NORMALS // d))
 
-    def fill(j):
-        lo, hi = chunks[j]
+    def fill(j, lo, hi):
         gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))) if j else rng
         gen.standard_normal(out=features[lo:hi])
         features[lo:hi] += means[labels[lo:hi]]
 
-    workers = min(threads, len(chunks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        list((pool.map if pool else map)(fill, range(len(chunks))))
+    chunks = _row_blocks(n, max(1, _CHUNK_NORMALS // d))
+    list(_map_blocks(fill, [(j, *chunk) for j, chunk in enumerate(chunks)], threads))
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 

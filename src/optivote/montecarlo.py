@@ -14,20 +14,19 @@ flip-bound and 2 Corollary-1 reports share votes and intensities, so they
 are correlated across SNR, M and q.  Its six q-bound reports all run at
 d_b = 1, so they share one stream of normals too.
 
-A cohort is simulated in row blocks of about ``_BLOCK_ELEMENTS`` votes
-over ``threads`` worker threads (``_cohort_sums``), as are the slot-energy
-check's intensities.  Each block reads its slice of the draws from a
-generator advanced to that slice, and each cell of a block is a per-row
-dot product whose summation order is fixed per row, so every report, and
-every generator state after it, is the same bits for any thread count or
-block size.  The calling thread reduces each block to counts as it comes
-back, so only the two slot normals, of ``samples`` each, and a few
-block-sized temporaries per worker are alive.
+A cohort is simulated in near-equal row blocks of at most
+``_BLOCK_ELEMENTS`` votes over ``threads`` worker threads
+(``_cohort_sums``); the slot-energy check sums its intensities in such
+blocks on the calling thread.  Each block reads its slice of the draws
+from a generator advanced to that slice, and each cell of a block is a
+per-row dot product whose summation order is fixed per row, so every
+report, and every generator state after it, is the same bits for any
+thread count or block size.  The calling thread reduces each block to
+counts as it comes back, so only the two slot normals, of ``samples``
+each, and a few block-sized temporaries per worker are alive.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from . import channel as ch
 from . import phy, theory
 from .config import ChannelConfig
 from .errors import UsageError
-from .rng import TAG_MC, derive
+from .rng import TAG_MC, _map_blocks, _row_blocks, derive
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,12 @@ def verify_energy_means(
     m_minus: int,
     samples: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[McReport]:
     """Empirical slot-energy means for a fixed vote split vs. closed form.
 
     Each slot sums its intensities in row blocks read at their offsets, with
-    the bits of one ``sample_intensities`` call, on ``threads`` workers;
-    then the calling thread draws its normals."""
+    the bits of one ``sample_intensities`` call, then draws its normals, all
+    on the calling thread."""
     th = theory.theta(1.0, ch.lambda_eff(params))
     mu_plus, mu_minus = theory.energy_means(m_plus, m_minus, th, params.sigma_n2)
     rng = derive(seed, TAG_MC, 1)
@@ -86,10 +84,9 @@ def verify_energy_means(
         signal = np.zeros(samples)
         if count > 0:
             state, size = rng.bit_generator.state, samples * count
-            signal = np.concatenate(list(_map_blocks(
-                lambda lo, hi: _intensities_at(params, state, lo * count, size,
-                                               hi - lo, count).sum(axis=1),
-                _row_blocks(samples, count), threads)))
+            signal = np.concatenate([
+                _intensities_at(params, state, lo * count, size, hi - lo, count).sum(axis=1)
+                for lo, hi in _row_blocks(samples, max(1, _BLOCK_ELEMENTS // count))])
             rng.bit_generator.advance(2 * size)
         signal = phy.received(signal, params.sigma_n2, rng.standard_normal(samples))
         emp = float(signal.mean())
@@ -108,15 +105,9 @@ def verify_energy_means(
     return reports
 
 
-# Elements (rows * width) per row block of a draw: each of a block's few
-# float64 temporaries is 1 MiB, whatever the cohort size.
+# Elements (rows * width) per row block of a draw, at most: each of a
+# block's few float64 temporaries is at most 1 MiB, whatever the cohort size.
 _BLOCK_ELEMENTS = 2**17
-
-
-def _row_blocks(samples: int, width: int) -> list[tuple[int, int]]:
-    """Row ranges of a (samples, width) draw, about ``_BLOCK_ELEMENTS`` each."""
-    step = max(1, _BLOCK_ELEMENTS // width)
-    return [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
 
 
 def _generator_at(bit_generator: np.random.PCG64, state: dict,
@@ -136,14 +127,6 @@ def _intensities_at(params: ChannelConfig, state: dict, offset: int, size: int,
     return ch._intensity(params, _generator_at(bits, state, offset).random(n),
                          _generator_at(bits, state, size + offset).random(n)
                          ).reshape(rows, width)
-
-
-def _map_blocks(fn, blocks: list[tuple[int, int]], threads: int):
-    """``fn(lo, hi)`` of each row block, in block order, on
-    ``min(threads, len(blocks))`` worker threads, or inline at one."""
-    workers = min(threads, len(blocks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        yield from (pool.map if pool else map)(lambda b: fn(*b), blocks)
 
 
 def _cohort_sums(
@@ -198,7 +181,7 @@ def _cohort_sums(
                 np.einsum("ij,ij->i", amp[:, :M], v[:, :M], out=e[1, c])
         return lo, hi, e[0], e[1], n_plus
 
-    return _map_blocks(block, _row_blocks(samples, width), threads)
+    return _map_blocks(block, _row_blocks(samples, max(1, _BLOCK_ELEMENTS // width)), threads)
 
 
 def _cohort_counts(
@@ -241,7 +224,7 @@ def _bound_reports(M: int, q_i: float, params: ChannelConfig, noise_variances: l
                    samples: int, flips: list[int]) -> list[McReport]:
     reports = []
     for sigma_n2, n_flips in zip(noise_variances, flips):
-        xi = theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2
+        xi = theory.theta(1.0, ch.lambda_eff(params)) / sigma_n2 if sigma_n2 else math.inf
         bound = theory.error_bound(M, xi, q_i)
         rate = n_flips / samples
         se = _binomial_se(rate, samples)
@@ -257,25 +240,6 @@ def _bound_reports(M: int, q_i: float, params: ChannelConfig, noise_variances: l
     return reports
 
 
-def verify_error_bounds(
-    M: int,
-    q_i: float,
-    params: ChannelConfig,
-    noise_variances: list[float],
-    samples: int,
-    seed: int = 0,
-    threads: int = 1,
-) -> list[McReport]:
-    """Empirical MV flip rate vs. the closed-form upper bound, per noise variance.
-
-    The variances share one cohort draw (see ``_cohort_counts``), so their
-    reports are correlated, not independent.
-    """
-    rng = derive(seed, TAG_MC, 2, M, int(q_i * 1e6))
-    flips, _, _ = _cohort_counts([(M, q_i)], params, noise_variances, samples, rng, threads)
-    return _bound_reports(M, q_i, params, noise_variances, samples, flips[0])
-
-
 # Kept for perfbench: BENCHMARK.json lists its per-layer metrics.
 def verify_error_bound(
     M: int,
@@ -285,8 +249,12 @@ def verify_error_bound(
     seed: int = 0,
     threads: int = 1,
 ) -> McReport:
-    """Empirical MV flip rate vs. the closed-form upper bound."""
-    return verify_error_bounds(M, q_i, params, [params.sigma_n2], samples, seed, threads)[0]
+    """Empirical MV flip rate vs. the closed-form upper bound (xi = inf
+    on a noiseless channel, where the bound is q_i)."""
+    noise = [params.sigma_n2]
+    flips, _, _ = _cohort_counts([(M, q_i)], params, noise, samples,
+                                 derive(seed, TAG_MC, 2, M, int(q_i * 1e6)), threads)
+    return _bound_reports(M, q_i, params, noise, samples, flips[0])[0]
 
 
 def verify_q_bound(
@@ -360,8 +328,7 @@ def run_default_suite(
     reports: list[McReport] = []
 
     params = unit_channel(xi_snr=1.0)
-    reports += verify_energy_means(params, m_plus=5, m_minus=5,
-                                   samples=samples, seed=seed, threads=threads)
+    reports += verify_energy_means(params, m_plus=5, m_minus=5, samples=samples, seed=seed)
 
     noise = [unit_channel(xi_snr=xi).sigma_n2 for xi in DEFAULT_XI_GRID]
     cells = [(M, q) for M in DEFAULT_M_GRID for q in DEFAULT_Q_GRID]

@@ -15,7 +15,7 @@ from scipy.stats import norm
 from optivote import channel as ch
 from optivote import cli, learner, montecarlo as mc, orchestrator as orch, phy, power, theory
 from optivote.config import ChannelConfig, PowerConfig, load_config
-from optivote.rng import derive
+from optivote.rng import TAG_MC, derive
 
 from conftest import UNIT_CFSPL
 
@@ -76,15 +76,16 @@ def test_criterion_02_lambda_closed_form():
 def test_criterion_03_flip_bound_dominance():
     """The majority-vote flip bound is never violated empirically on the
     full SNR x cohort x per-node-error grid (1e5 samples per point)."""
-    # One call per (M, q) scores its cohort at all four SNR points; each
-    # report equals the single-channel call's (test_montecarlo checks it).
-    channels = [mc.unit_channel(xi_snr=xi) for xi in (0.5, 1.0, 5.0, 20.0)]
+    # One cohort per (M, q), on verify_error_bound's key, is scored at all
+    # four SNR points; each report equals the single-channel call's
+    # (test_montecarlo checks it).
+    noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in (0.5, 1.0, 5.0, 20.0)]
     violations = []
     for M in (4, 10, 50):
         for q in (0.05, 0.2, 0.4):
-            for r in mc.verify_error_bounds(M, q, mc.unit_channel(1.0),
-                                            [p.sigma_n2 for p in channels],
-                                            samples=100_000, seed=0):
+            flips = mc._cohort_counts([(M, q)], mc.unit_channel(1.0), noise, 100_000,
+                                      derive(0, TAG_MC, 2, M, int(q * 1e6)), threads=1)[0]
+            for r in mc._bound_reports(M, q, mc.unit_channel(1.0), noise, 100_000, flips[0]):
                 if not r.passed:
                     violations.append(r.name)
     report(3, "flip-bound one-sided dominance over 36-point grid",

@@ -2,7 +2,8 @@
 ``pyproject.toml`` declares: none undeclared, none declared but unused.
 
 Function-level imports count too (``channel.lambda_oracle`` imports scipy
-only when called).
+only when called).  Thread pools have one owner: ``rng``, which splits
+every row-blocked draw.
 """
 
 import ast
@@ -32,3 +33,14 @@ def test_imports_match_declared_dependencies():
                 for spec in project["dependencies"]}
     third_party = imported_packages() - set(sys.stdlib_module_names) - {"optivote"}
     assert third_party == declared == {"numpy", "scipy"}
+
+
+def test_only_rng_imports_concurrent_futures():
+    importers = set()
+    for path in (ROOT / "src" / "optivote").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "concurrent" for name in names):
+                importers.add(path.name)
+    assert importers == {"rng.py"}

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optivote import learner
+from optivote import learner, rng
 from optivote.errors import FormatError
 
 
@@ -154,7 +154,7 @@ class TestMakeSynthetic:
 
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         started = []
-        monkeypatch.setattr(learner, "ThreadPoolExecutor", InlinePool(started))
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", InlinePool(started))
         n = FILL_ROWS[-1]  # five chunks
         ds = learner.make_synthetic(10, n, FILL_D, 4.0, 6, threads=10**6)
         learner.make_synthetic(10, n, FILL_D, 4.0, 6, threads=2)
@@ -441,7 +441,7 @@ class TestEvaluate:
                                 ("mlp", hidden * min(d, num_classes))):
             model = learner.Model.init(arch, d, num_classes, hidden=hidden)
             rows = max(B, -(-learner._MIN_BLOCK_MACS // narrowest))
-            assert learner._eval_blocks(model, n) == learner._row_blocks(n, rows)
+            assert learner._eval_blocks(model, n) == rng._row_blocks(n, rows)
 
     def test_peak_memory_is_one_block(self):
         ds = learner.make_synthetic(10, 20_000, 200, 4.0, seed=4)

@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 from optivote import channel as ch
 from optivote import montecarlo as mc
-from optivote import phy, theory
+from optivote import phy, rng, theory
 from optivote.errors import UsageError
 from optivote.rng import TAG_MC, derive
 
@@ -274,15 +274,29 @@ class TestVerifyErrorBound:
             got = mc.verify_corollary1(M, q, params, samples=20_000, seed=seed, threads=2)
             assert asdict(got) == asdict(single_draw_corollary1(M, q, params, 20_000, seed))
 
-
-class TestVerifyErrorBounds:
     def test_group_matches_single_channel_calls(self):
+        # Criterion 03's shortcut: one cohort on verify_error_bound's key,
+        # scored at several noise variances, reports what one
+        # verify_error_bound call per channel reports.
         channels = [mc.unit_channel(xi_snr=xi) for xi in (0.5, 5.0)]
-        group = mc.verify_error_bounds(10, 0.2, mc.unit_channel(1.0),
-                                       [p.sigma_n2 for p in channels],
-                                       samples=10_000, seed=2)
+        noise = [p.sigma_n2 for p in channels]
+        flips = mc._cohort_counts([(10, 0.2)], mc.unit_channel(1.0), noise, 10_000,
+                                  derive(2, TAG_MC, 2, 10, int(0.2 * 1e6)), threads=1)[0]
+        group = mc._bound_reports(10, 0.2, mc.unit_channel(1.0), noise, 10_000, flips[0])
         assert group == [mc.verify_error_bound(10, 0.2, p, samples=10_000, seed=2)
                          for p in channels]
+
+
+class TestNoiselessChannel:
+    def test_noiseless_flip_bound_is_q(self):
+        noiseless = replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
+        got = mc.verify_error_bound(11, 0.2, noiseless, samples=10_000, seed=4)
+        assert got.name == "error_bound[M=11,xi=inf,q=0.2]"
+        assert got.theoretical == 0.2 == theory.error_bound(11, math.inf, 0.2)
+        flips, _ = single_draw_flips(11, 0.2, noiseless, 10_000,
+                                     derive(4, TAG_MC, 2, 11, int(0.2 * 1e6)))
+        assert got.empirical == flips.mean() < got.theoretical
+        assert got.passed
 
     def test_noiseless_corollary_matches_oracle(self):
         noiseless = replace(mc.unit_channel(xi_snr=1.0), sigma_n2=0.0)
@@ -389,12 +403,12 @@ class TestCohortKernel:
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
         started = []
 
-        class Recorder(mc.ThreadPoolExecutor):
+        class Recorder(rng.ThreadPoolExecutor):
             def __init__(self, workers):
                 started.append(workers)
                 super().__init__(workers)
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", Recorder)
         params = mc.unit_channel(xi_snr=1.0)
         # 10,007 x 4 is one block: no pool at all.
         cohort_sums(4, 0.2, params, 10_007, derive(0, TAG_MC), threads=3)
