@@ -16,7 +16,7 @@ checks, and reads its SI properties (``d_min``, ``d_max``, ``fspl_constant``).
 arithmetic; ``sample_intensities`` draws many with numpy arrays.  The two
 round ``**`` differently: numpy's vectorized pow differs from the scalar
 one in the last bit for about one draw in ten.  So the per-node draws of
-``orchestrator.run`` stay scalar; batching them would move ``metrics.csv``.
+``orchestrator._round`` stay scalar; batching them would move ``metrics.csv``.
 """
 
 import math

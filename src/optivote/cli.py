@@ -63,8 +63,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args, extras) -> int:
-    summary = orchestrator.run(_load_run_config(args, extras), threads=args.threads)
-    print(f"final accuracy {summary.final_accuracy:.4f}")
+    state = orchestrator.run(_load_run_config(args, extras), threads=args.threads)
+    print(f"final accuracy {state.final_accuracy:.4f}")
     return 0
 
 
@@ -240,6 +240,10 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        if (output := getattr(args, "output", None)) and not Path(output).parent.is_dir():
+            raise UsageError(f"--output: {str(Path(output).parent)!r} is not a directory")
+        if output and Path(output).is_dir():
+            raise UsageError(f"--output: {output!r} is a directory")
         if extras and "config" not in args:  # only --config commands take overrides
             raise ConfigError(f"unrecognized arguments: {extras}")
         return args.fn(args, extras)

@@ -1,12 +1,12 @@
 """End-to-end federated rounds under a chosen aggregation scheme.
 
-Every scheme runs one round pipeline: select active nodes, compute local
-mini-batch gradients, sign-quantize, (for the adaptive schemes) refresh
-consistency scores against the previous broadcast vote and update
-powers, draw the channel, aggregate, step the global model, evaluate.
-Schemes differ only in their entry of ``_SCHEMES``: whether they draw a
-channel, whether they adapt power, and how they aggregate.  The downlink
-is error-free, so a single global model is stored.
+Every scheme runs one round function, ``_round``, on one ``RunState``:
+select active nodes, compute local mini-batch gradients, sign-quantize,
+run the scheme's power hook (once a vote has been broadcast), draw the
+channel, aggregate, step the global model, evaluate.  Schemes differ only
+in their entry of ``_SCHEMES``: how they aggregate, whether they draw a
+channel, and how they set power.  The downlink is error-free, so a single
+global model is stored.
 """
 
 import json
@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -25,7 +25,7 @@ import numpy as np
 from . import channel as ch
 from . import learner, phy, power, theory
 from .config import Config, config_hash, resolved_json
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .rng import TAG_CHANNEL, TAG_DATA, TAG_GRADIENT, TAG_NOISE, TAG_SELECT, derive
 
 
@@ -40,10 +40,17 @@ class RoundMetrics:
 
 
 @dataclass
-class RunSummary:
-    metrics: list[RoundMetrics]
-    final_accuracy: float
-    final_w: np.ndarray
+class RunState:
+    """Everything a run carries from one round to the next."""
+
+    model: learner.Model
+    powers: power.PowerState
+    last_mv: np.ndarray | None = None  # the last broadcast vote; None before round 0's
+    metrics: list[RoundMetrics] = field(default_factory=list)
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.metrics[-1].test_accuracy if self.metrics else 0.0
 
 
 def select_active(M: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,6 +89,9 @@ def build_data(cfg: Config,
     else:
         train = learner.load_mnist_idx(ds.train_images, ds.train_labels)
         test = learner.load_mnist_idx(ds.test_images, ds.test_labels)
+        if test.d != train.d:
+            raise FormatError(f"learner.dataset.test_images: {test.d} pixels an image, "
+                              f"where the training images have {train.d}")
     return train, test, _shards(cfg, train.labels)
 
 
@@ -144,25 +154,33 @@ def _vote_error_free(up: _Uplink):
 
 
 def _analog_over_air(up: _Uplink):
-    # A NaN aggregate votes -1 here; run's guard on the stepped model reports it.
+    # A NaN aggregate votes -1 here; _round's guard on the stepped model reports it.
     agg = aggregate_fedavg_air(
         up.grads, up.powers, up.intensities, up.sigma_n2, up.noise_rng)
     return agg, phy.detect_mv(agg, 0.0), None
 
 
+# Power hooks: (state, cohort signs, active ids, power config) -> None, run once a vote is out.
+def _score(state: RunState, signs, active, params) -> None:
+    state.powers.a[active] = power.consistency_score(signs, state.last_mv)
+
+
+def _score_and_step(state: RunState, signs, active, params) -> None:
+    _score(state, signs, active, params)
+    state.powers = power.update_powers(state.powers, params, active=active)
+
+
 class _Scheme(NamedTuple):
     aggregate: Callable
     over_air: bool = True  # draw block fading and receiver noise
-    adapts_power: bool = False  # score signs against the last vote, step powers
-    rho: float | None = None  # overrides power.rho when set
+    power: Callable | None = None  # the power hook; None keeps every power at p_avg
 
 
-# One entry per name in config.SCHEMES.  The fixed-power variant is the
-# adaptive scheme with the step size pinned to zero, so the two share one
-# code path bit-for-bit.
+# One entry per name in config.SCHEMES.  Fixed power scores but never steps (a step at
+# rho = 0 keeps p_avg bit for bit), so it reads no power.rho, p_min, p_max or abar_scope.
 _SCHEMES = {
-    "optivote": _Scheme(_vote_over_air, adapts_power=True),
-    "optivote_fixed_power": _Scheme(_vote_over_air, adapts_power=True, rho=0.0),
+    "optivote": _Scheme(_vote_over_air, power=_score_and_step),
+    "optivote_fixed_power": _Scheme(_vote_over_air, power=_score),
     "ideal_mv": _Scheme(_vote_error_free, over_air=False),
     "fedavg_air": _Scheme(_analog_over_air),
 }
@@ -181,7 +199,49 @@ def _require_finite(n: int, what: str, values) -> None:
 # Overflow and invalid-value warnings are silenced: every non-finite value
 # they would announce reaches a _require_finite check, which names the round.
 @np.errstate(over="ignore", invalid="ignore")
-def run(cfg: Config, threads: int = 1) -> RunSummary:
+def _round(cfg: Config, data, eta: float, state: RunState, n: int):
+    """Step ``state`` through round ``n``; return (its metrics, slot energies or None)."""
+    rc, params = cfg.run, cfg.channel
+    scheme = _SCHEMES[rc.scheme]
+    train, test, shards = data
+    active = select_active(rc.M, rc.m, derive(rc.seed, TAG_SELECT, n))
+
+    grads = np.stack([
+        learner.local_gradient(
+            state.model, train, shards[node], rc.d_b,
+            derive(rc.seed, TAG_GRADIENT, n, node),
+            local_steps=cfg.learner.local_steps, eta=eta,
+        )
+        for node in active
+    ])
+    _require_finite(n, "a local gradient", grads)
+    signs = learner.sign_quantize(grads)
+    ideal = phy.ideal_majority(signs)
+
+    if scheme.power is not None and state.last_mv is not None:
+        scheme.power(state, signs, active, cfg.power)
+    intensities = noise_rng = None
+    if scheme.over_air:
+        intensities = np.array([
+            ch.sample_channel(params, derive(rc.seed, TAG_CHANNEL, n, node))
+            for node in active
+        ])
+        noise_rng = derive(rc.seed, TAG_NOISE, n)
+
+    direction, state.last_mv, slots = scheme.aggregate(_Uplink(
+        grads, signs, ideal, state.powers.p[active], intensities, params.sigma_n2, noise_rng))
+    state.model = learner.apply_update(state.model, direction, eta)
+    _require_finite(n, "the model after the step", state.model.w)
+
+    train_loss, test_acc = learner.evaluate(state.model, train, test)
+    _require_finite(n, "the training loss", train_loss)
+    return RoundMetrics(
+        n, train_loss, test_acc, mv_error_rate=float(np.mean(state.last_mv != ideal)),
+        mean_power=float(state.powers.p.mean()), mean_consistency=float(state.powers.a.mean()),
+    ), slots
+
+
+def run(cfg: Config, threads: int = 1) -> RunState:
     """Execute one configured training run; deterministic in (config, seed),
     whatever the ``threads`` that build a synthetic dataset.
 
@@ -195,34 +255,22 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
     stderr when an over-the-air scheme runs below ``_LOW_SNR``.
     """
     t0 = time.monotonic()
-    rc = cfg.run
-    seed = rc.seed
-    scheme = _SCHEMES[rc.scheme]
-
-    params = cfg.channel
-    pparams = cfg.power
-    if scheme.rho is not None:
-        pparams = replace(pparams, rho=scheme.rho)
-    if scheme.over_air and params.sigma_n2 > 0:
-        snr = theory.theta(pparams.p_avg, ch.lambda_eff(params)) / params.sigma_n2
+    rc, params = cfg.run, cfg.channel
+    if _SCHEMES[rc.scheme].over_air and params.sigma_n2 > 0:
+        snr = theory.theta(cfg.power.p_avg, ch.lambda_eff(params)) / params.sigma_n2
         if snr < _LOW_SNR:
             print(f"warning: effective SNR p_avg * lambda_eff / sigma_n2 = {snr:.3g} "
                   f"is below {_LOW_SNR:g}, so the over-the-air aggregate is mostly "
                   "receiver noise (check channel.c_fspl and channel.sigma_n2)",
                   file=sys.stderr)
 
-    train, test, shards = build_data(cfg, threads)
-    model = learner.Model.init(
-        cfg.learner.model.arch, train.d, train.num_classes,
-        hidden=cfg.learner.model.hidden,
-        seed=int(derive(seed, TAG_DATA, 2).integers(2**31)),
-    )
-
+    data = build_data(cfg, threads)
+    state = RunState(learner.Model.init(
+        cfg.learner.model.arch, data[0].d, data[0].num_classes, hidden=cfg.learner.model.hidden,
+        seed=int(derive(rc.seed, TAG_DATA, 2).integers(2**31)),
+    ), power.PowerState.initial(rc.M, cfg.power))
     eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b) if rc.lr == "theorem1" else rc.eta
 
-    pstate = power.PowerState.initial(rc.M, pparams)
-    last_mv: np.ndarray | None = None  # the last broadcast vote
-    metrics: list[RoundMetrics] = []
     out = Path(cfg.output.dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out.parent, prefix=".optivote-") as tmp, \
@@ -235,73 +283,30 @@ def run(cfg: Config, threads: int = 1) -> RunSummary:
                            cfg.output.dump_slots)
 
         for n in range(rc.rounds):
-            active = select_active(rc.M, rc.m, derive(seed, TAG_SELECT, n))
-
-            grads = np.stack([
-                learner.local_gradient(
-                    model, train, shards[node], rc.d_b,
-                    derive(seed, TAG_GRADIENT, n, node),
-                    local_steps=cfg.learner.local_steps, eta=eta,
-                )
-                for node in active
-            ])
-            _require_finite(n, "a local gradient", grads)
-            signs = learner.sign_quantize(grads)
-            ideal = phy.ideal_majority(signs)
-
-            if scheme.adapts_power and last_mv is not None:
-                pstate.a[active] = power.consistency_score(signs, last_mv)
-                pstate = power.update_powers(pstate, pparams, active=active)
-            intensities = noise_rng = None
-            if scheme.over_air:
-                intensities = np.array([
-                    ch.sample_channel(params, derive(seed, TAG_CHANNEL, n, node))
-                    for node in active
-                ])
-                noise_rng = derive(seed, TAG_NOISE, n)
-
-            direction, last_mv, slots = scheme.aggregate(_Uplink(
-                grads, signs, ideal, pstate.p[active], intensities, params.sigma_n2,
-                noise_rng,
-            ))
-            model = learner.apply_update(model, direction, eta)
-            _require_finite(n, "the model after the step", model.w)
+            row, slots = _round(cfg, data, eta, state, n)
+            state.metrics.append(row)
+            write_metrics([astuple(row)])
+            write_power(zip(repeat(n), range(rc.M), state.powers.p, state.powers.a))
             if slots is not None:
-                e_plus, e_minus = slots
-                write_slots(zip(repeat(n), range(model.q), e_plus, e_minus))
-
-            train_loss, test_acc = learner.evaluate(model, train, test)
-            _require_finite(n, "the training loss", train_loss)
-            metrics.append(RoundMetrics(
-                round=n,
-                train_loss=train_loss,
-                test_accuracy=test_acc,
-                mv_error_rate=float(np.mean(last_mv != ideal)),
-                mean_power=float(pstate.p.mean()),
-                mean_consistency=float(pstate.a.mean()),
-            ))
-            write_metrics([astuple(metrics[-1])])
-            write_power(zip(repeat(n), range(rc.M), pstate.p, pstate.a))
+                write_slots(zip(repeat(n), range(state.model.q), *slots))
 
         files.close()
 
-        summary = RunSummary(metrics, metrics[-1].test_accuracy if metrics else 0.0,
-                             model.w.copy())
         (staging / "resolved_config.json").write_text(resolved_json(cfg) + "\n")
         (staging / "summary.json").write_text(json.dumps({
             "config_hash": config_hash(cfg),
-            "seed": seed,
-            "rounds": len(summary.metrics),
-            "final_accuracy": summary.final_accuracy,
+            "seed": rc.seed,
+            "rounds": len(state.metrics),
+            "final_accuracy": state.final_accuracy,
             "wall_time": time.monotonic() - t0,
-            "metrics": [asdict(m) for m in summary.metrics],
+            "metrics": [asdict(m) for m in state.metrics],
         }, indent=2) + "\n")
         out.mkdir(exist_ok=True)
         for name in ("power.csv", "slots.csv"):  # an earlier run's dumps
             (out / name).unlink(missing_ok=True)
         for path in staging.iterdir():
             os.replace(path, out / path.name)
-    return summary
+    return state
 
 
 METRICS_HEADER = ",".join(f.name for f in fields(RoundMetrics))

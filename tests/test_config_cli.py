@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -23,6 +24,15 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def write_idx(path, n, side):
+    """An IDX image file and label file of ``n`` ``side`` x ``side`` images."""
+    path.mkdir()
+    (path / "img").write_bytes(struct.pack(">IIII", 0x803, n, side, side)
+                               + bytes(i % 256 for i in range(n * side * side)))
+    (path / "lab").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
+    return str(path / "img"), str(path / "lab")
 
 
 def fast_config(tmp_path, **extra):
@@ -312,6 +322,17 @@ class TestCliSimulate:
         assert f"learner.dataset.{missing}: mnist needs an IDX file" in err
         assert not (tmp_path / "out").exists()
 
+    def test_test_images_of_another_size_exit_one_before_writing(self, tmp_path, capsys):
+        dataset = {"type": "mnist"}
+        for split, side in (("train", 4), ("test", 3)):
+            dataset[f"{split}_images"], dataset[f"{split}_labels"] = write_idx(
+                tmp_path / split, 12, side)
+        cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
+        assert cli.main(["simulate", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == ("error: learner.dataset.test_images: 9 pixels an "
+                                           "image, where the training images have 16\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("run.eta", "NaN", "run.eta: Input should be a finite number"),
         ("channel.sigma_n2", "Infinity", "channel.sigma_n2: Input should be a finite number"),
@@ -558,6 +579,16 @@ class TestCliSweep:
                          "--param", "xi=0.5,1,2", "--output", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 4
 
+    @pytest.mark.parametrize("output, message", [
+        ("missing/sweep.csv", "'{tmp}/missing' is not a directory"),
+        (".", "'{tmp}' is a directory")])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, output, message):
+        assert cli.main(["sweep", "--op", "error_bound", "--param", "xi=0.5,1",
+                         "--output", str(tmp_path / output)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --output: {message.format(tmp=tmp_path)}\n"
+        assert captured.out == ""
+
     def test_bad_param_spec(self, capsys):
         assert cli.main(["sweep", "--op", "error_bound", "--param", "M"]) == 1
 
@@ -693,6 +724,18 @@ class TestCliVerify:
         assert cli.main(["--threads", threads, "verify", "--output", str(out)]) == 1
         assert "error: --threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["missing/reports.json", "."])
+    def test_unwritable_output_exits_one_before_drawing(self, tmp_path, capsys,
+                                                        monkeypatch, output):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("ran the suite before checking --output")
+
+        monkeypatch.setattr(cli.montecarlo, "run_default_suite", no_suite)
+        assert cli.main(["verify", "--output", str(tmp_path / output)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --output: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_threads_reach_the_kernel(self, tmp_path, monkeypatch):
         seen = []

@@ -3,7 +3,8 @@
 
 Function-level imports count too (``channel.lambda_oracle`` imports scipy
 only when called).  Thread pools have one owner: ``rng``, which splits
-every row-blocked draw.
+every row-blocked draw.  The schemes share one round pipeline: the
+orchestrator names a scheme only as a key of its scheme table.
 """
 
 import ast
@@ -11,6 +12,8 @@ import re
 import sys
 import tomllib
 from pathlib import Path
+
+from optivote.config import SCHEMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +47,14 @@ def test_only_rng_imports_concurrent_futures():
             if any(name and name.split(".")[0] == "concurrent" for name in names):
                 importers.add(path.name)
     assert importers == {"rng.py"}
+
+
+def test_scheme_names_appear_only_as_scheme_table_keys():
+    # Catches a per-scheme branch: a comparison, an `in` tuple or a match case.
+    tree = ast.parse((ROOT / "src" / "optivote" / "orchestrator.py").read_text())
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_SCHEMES"])
+    keys = {id(key) for key in table.keys}
+    elsewhere = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                 and node.value in SCHEMES and id(node) not in keys]
+    assert elsewhere == [], f"scheme names outside _SCHEMES on lines {elsewhere}"

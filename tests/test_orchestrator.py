@@ -119,7 +119,7 @@ class TestRun:
         summary = orch.run(cfg)
         assert summary.metrics == []
         assert summary.final_accuracy == 0.0
-        assert summary.final_w is not None
+        assert summary.model.w is not None
 
     def test_replay_is_byte_identical(self):
         cfg = load_config(small_config())
@@ -139,6 +139,27 @@ class TestRun:
         fixed = small_config(scheme="optivote_fixed_power")
         got = run_metrics_csv(load_config(fixed))
         assert got == ref
+
+    def test_fixed_power_scores_but_never_steps(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("optivote_fixed_power stepped its powers")
+
+        monkeypatch.setattr(orch.power, "update_powers", no_step)
+        state = orch.run(load_config(small_config(scheme="optivote_fixed_power")))
+        assert {r.mean_power for r in state.metrics} == {1.0}
+        assert len({r.mean_consistency for r in state.metrics}) > 1
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rounds_driven_one_by_one_equal_the_run(self, scheme):
+        # A round reads and writes nothing but its arguments and the state.
+        cfg = load_config(small_config(scheme=scheme, rounds=6))
+        whole = orch.run(cfg)
+        state = orch.run(replace(cfg, run=replace(cfg.run, rounds=0)))  # a fresh state
+        data = orch.build_data(cfg)
+        rows = [orch._round(cfg, data, cfg.run.eta, state, n)[0] for n in range(6)]
+        assert rows == whole.metrics
+        np.testing.assert_array_equal(state.model.w, whole.model.w)
+        np.testing.assert_array_equal(state.powers.p, whole.powers.p)
 
     def test_mv_error_free_on_homogeneous_noiseless_channel(self):
         # Degenerate geometry and (near) no pointing jitter make every
@@ -167,7 +188,7 @@ class TestRun:
             seed=int(derive(cfg.run.seed, TAG_DATA, 2).integers(2**31)),
         ).w
         summary = orch.run(cfg)
-        steps = (summary.final_w - w0) / cfg.run.eta
+        steps = (summary.model.w - w0) / cfg.run.eta
         assert np.allclose(np.round(steps), steps, atol=1e-9)
         assert np.all(np.abs(steps) <= 5)
         assert np.all(np.abs(np.round(steps)) % 1 == 0)
