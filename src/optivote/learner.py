@@ -6,6 +6,7 @@ layers are flat-packed as [W1, b1, W2, b2] into a single parameter vector,
 so the MV update is a plain vector step.
 """
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -104,14 +105,18 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
-def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
-    """Parse big-endian IDX image/label files; pixels scaled to [0, 1]."""
+def load_mnist_idx(images_path: str, labels_path: str, pixels: bool = True) -> Dataset:
+    """Parse big-endian IDX image/label files; pixels scaled to [0, 1].  ``pixels=False``
+    makes the same checks, but reads only the image header and keeps no pixel (d = 0)."""
     with open(images_path, "rb") as f:
         magic, n_img, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(f, n_img * rows * cols, "image data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n_img, rows * cols)
+        if not pixels and os.fstat(f.fileno()).st_size < 16 + n_img * rows * cols:
+            raise FormatError("truncated IDX file while reading image data")
+        d = rows * cols if pixels else 0  # pixels=False reads and keeps none
+        raw = _read_exact(f, n_img * d, "image data")
+        images = np.frombuffer(raw, dtype=np.uint8).reshape(n_img, d)
     with open(labels_path, "rb") as f:
         magic, n_lab = struct.unpack(">II", _read_exact(f, 8, "label header"))
         if magic != _IDX_LABELS_MAGIC:

@@ -41,10 +41,11 @@ class RoundMetrics:
 
 @dataclass
 class RunState:
-    """Everything a run carries from one round to the next."""
+    """What a run carries from one round to the next; the power hooks write ``p`` and ``a``."""
 
     model: learner.Model
-    powers: power.PowerState
+    p: np.ndarray  # (M,) transmit powers
+    a: np.ndarray  # (M,) last-known consistency scores
     last_mv: np.ndarray | None = None  # the last broadcast vote; None before round 0's
     metrics: list[RoundMetrics] = field(default_factory=list)
 
@@ -103,7 +104,7 @@ def train_shards(cfg: Config) -> tuple[np.ndarray, list[np.ndarray]]:
         labels = learner.synthetic_labels(ds.num_classes, ds.n + ds.n_test, ds.d,
                                           seed=_data_seed(cfg))[: ds.n]
     else:
-        labels = learner.load_mnist_idx(ds.train_images, ds.train_labels).labels
+        labels = learner.load_mnist_idx(ds.train_images, ds.train_labels, pixels=False).labels
     return labels, _shards(cfg, labels)
 
 
@@ -160,14 +161,14 @@ def _analog_over_air(up: _Uplink):
     return agg, phy.detect_mv(agg, 0.0), None
 
 
-# Power hooks: (state, cohort signs, active ids, power config) -> None, run once a vote is out.
+# Power hooks (state, cohort signs, active ids, power config) write state.a and state.p.
 def _score(state: RunState, signs, active, params) -> None:
-    state.powers.a[active] = power.consistency_score(signs, state.last_mv)
+    state.a[active] = power.consistency_score(signs, state.last_mv)
 
 
 def _score_and_step(state: RunState, signs, active, params) -> None:
     _score(state, signs, active, params)
-    state.powers = power.update_powers(state.powers, params, active=active)
+    state.p = power.update_powers(state.p, state.a, params, active)
 
 
 class _Scheme(NamedTuple):
@@ -229,7 +230,7 @@ def _round(cfg: Config, data, eta: float, state: RunState, n: int):
         noise_rng = derive(rc.seed, TAG_NOISE, n)
 
     direction, state.last_mv, slots = scheme.aggregate(_Uplink(
-        grads, signs, ideal, state.powers.p[active], intensities, params.sigma_n2, noise_rng))
+        grads, signs, ideal, state.p[active], intensities, params.sigma_n2, noise_rng))
     state.model = learner.apply_update(state.model, direction, eta)
     _require_finite(n, "the model after the step", state.model.w)
 
@@ -237,7 +238,7 @@ def _round(cfg: Config, data, eta: float, state: RunState, n: int):
     _require_finite(n, "the training loss", train_loss)
     return RoundMetrics(
         n, train_loss, test_acc, mv_error_rate=float(np.mean(state.last_mv != ideal)),
-        mean_power=float(state.powers.p.mean()), mean_consistency=float(state.powers.a.mean()),
+        mean_power=float(state.p.mean()), mean_consistency=float(state.a.mean()),
     ), slots
 
 
@@ -256,6 +257,7 @@ def run(cfg: Config, threads: int = 1) -> RunState:
     """
     t0 = time.monotonic()
     rc, params = cfg.run, cfg.channel
+    data = build_data(cfg, threads)  # the last rejection before round 0, so warn after it
     if _SCHEMES[rc.scheme].over_air and params.sigma_n2 > 0:
         snr = theory.theta(cfg.power.p_avg, ch.lambda_eff(params)) / params.sigma_n2
         if snr < _LOW_SNR:
@@ -264,11 +266,10 @@ def run(cfg: Config, threads: int = 1) -> RunState:
                   "receiver noise (check channel.c_fspl and channel.sigma_n2)",
                   file=sys.stderr)
 
-    data = build_data(cfg, threads)
     state = RunState(learner.Model.init(
         cfg.learner.model.arch, data[0].d, data[0].num_classes, hidden=cfg.learner.model.hidden,
         seed=int(derive(rc.seed, TAG_DATA, 2).integers(2**31)),
-    ), power.PowerState.initial(rc.M, cfg.power))
+    ), p=np.full(rc.M, cfg.power.p_avg), a=np.full(rc.M, 0.5))  # scores start neutral
     eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b) if rc.lr == "theorem1" else rc.eta
 
     out = Path(cfg.output.dir)
@@ -286,7 +287,7 @@ def run(cfg: Config, threads: int = 1) -> RunState:
             row, slots = _round(cfg, data, eta, state, n)
             state.metrics.append(row)
             write_metrics([astuple(row)])
-            write_power(zip(repeat(n), range(rc.M), state.powers.p, state.powers.a))
+            write_power(zip(repeat(n), range(rc.M), state.p, state.a))
             if slots is not None:
                 write_slots(zip(repeat(n), range(state.model.q), *slots))
 

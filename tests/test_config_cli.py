@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import struct
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from optivote.config import (
 from optivote.errors import ConfigError
 from optivote.montecarlo import unit_channel
 
-from conftest import UNIT_CFSPL
+from conftest import UNIT_CFSPL, write_idx
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,15 +23,6 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
-
-
-def write_idx(path, n, side):
-    """An IDX image file and label file of ``n`` ``side`` x ``side`` images."""
-    path.mkdir()
-    (path / "img").write_bytes(struct.pack(">IIII", 0x803, n, side, side)
-                               + bytes(i % 256 for i in range(n * side * side)))
-    (path / "lab").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
-    return str(path / "img"), str(path / "lab")
 
 
 def fast_config(tmp_path, **extra):
@@ -829,3 +819,11 @@ class TestCliPartitionInspect:
         assert cli.main(["partition-inspect", "--config", cfg_path,
                          "--run.M", "300"]) == 1
         assert "run.M" in capsys.readouterr().err
+
+    def test_idx_count_mismatch_exits_one(self, tmp_path, capsys):
+        images, labels = write_idx(tmp_path / "train", 12, 4, n_labels=11)
+        dataset = {"type": "mnist", "train_images": images, "train_labels": labels,
+                   "test_images": images, "test_labels": labels}
+        cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
+        assert cli.main(["partition-inspect", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == "error: image count 12 != label count 11\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optivote import learner, rng
-from optivote.errors import FormatError
+from optivote.errors import FormatError, UsageError
 
 
 def train_sgd(model, ds, steps, lr, batch=64, seed=1):
@@ -198,7 +198,7 @@ class TestMakeSynthetic:
 
 class TestMnistIdx:
     def write_idx(self, tmp_path, n=4, rows=2, cols=3, n_labels=None,
-                  img_magic=0x803, lab_magic=0x801, truncate=0):
+                  img_magic=0x803, lab_magic=0x801, truncate=0, first_label=0):
         n_labels = n if n_labels is None else n_labels
         img = tmp_path / "img"
         lab = tmp_path / "lab"
@@ -206,7 +206,7 @@ class TestMnistIdx:
         data += bytes(i % 256 for i in range(n * rows * cols))
         img.write_bytes(data[: len(data) - truncate])
         lab.write_bytes(struct.pack(">II", lab_magic, n_labels)
-                        + bytes([i % 10 for i in range(n_labels)]))
+                        + bytes([first_label + i % 10 for i in range(n_labels)]))
         return str(img), str(lab)
 
     def test_parses_and_scales(self, tmp_path):
@@ -242,6 +242,28 @@ class TestMnistIdx:
         img, lab = self.write_idx(tmp_path, n_labels=3)
         with pytest.raises(FormatError, match="count"):
             learner.load_mnist_idx(img, lab)
+
+    def test_labels_only_equal_the_full_loads(self, tmp_path):
+        img, lab = self.write_idx(tmp_path, n=25)
+        ds = learner.load_mnist_idx(img, lab, pixels=False)
+        assert (ds.n, ds.d, ds.num_classes) == (25, 0, 10)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, learner.load_mnist_idx(img, lab).labels)
+
+    @pytest.mark.parametrize("fault, error, message", [
+        (dict(img_magic=0x123), FormatError, "bad image magic 0x00000123, expected 0x00000803"),
+        (dict(lab_magic=0x123), FormatError, "bad label magic 0x00000123, expected 0x00000801"),
+        (dict(truncate=1), FormatError, "truncated IDX file while reading image data"),
+        (dict(n_labels=3), FormatError, "image count 4 != label count 3"),
+        (dict(n=0), UsageError, "dataset must be nonempty"),
+        (dict(first_label=7), UsageError, "labels must lie in [0, num_classes)"),
+    ], ids=["image-magic", "label-magic", "truncated", "count", "empty", "label-range"])
+    def test_labels_only_read_makes_every_check(self, tmp_path, fault, error, message):
+        img, lab = self.write_idx(tmp_path, **fault)
+        for pixels in (True, False):
+            with pytest.raises(error) as raised:
+                learner.load_mnist_idx(img, lab, pixels=pixels)
+            assert str(raised.value) == message
 
 
 class TestPartition:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optivote import learner, orchestrator as orch
+from optivote import cli, learner, orchestrator as orch
 from optivote.config import SCHEMES, load_config
 from optivote.errors import ConfigError, NumericError
 from optivote.rng import TAG_DATA, derive
 
-from conftest import UNIT_CFSPL
+from conftest import UNIT_CFSPL, write_idx
 
 
 def small_config(**run_overrides) -> dict:
@@ -90,16 +91,37 @@ class TestBuildData:
         with pytest.raises(ConfigError, match="run.M / learner.partition"):
             orch.build_data(load_config(small_config(M=3000)))
 
-    @pytest.mark.parametrize("mode", ["iid", "noniid"])
-    def test_train_shards_are_build_datas(self, mode):
-        cfg = load_config({**small_config(), "learner": {
-            **small_config()["learner"], "partition": {"mode": mode}}})
+    @staticmethod
+    def mnist_config(tmp_path, n: int, side: int) -> dict:
+        train, test = write_idx(tmp_path / "train", n, side), write_idx(tmp_path / "test", 10, side)
+        dataset = {"type": "mnist", "train_images": train[0], "train_labels": train[1],
+                   "test_images": test[0], "test_labels": test[1]}
+        return {**small_config(), "learner": {"dataset": dataset}}
+
+    @pytest.mark.parametrize("mode, mnist", [("iid", False), ("noniid", False), ("noniid", True)],
+                             ids=["iid", "noniid", "mnist-noniid"])
+    def test_train_shards_are_build_datas(self, tmp_path, mode, mnist):
+        raw = self.mnist_config(tmp_path, 200, 5) if mnist else small_config()
+        raw["learner"] = {**raw["learner"], "partition": {"mode": mode}}
+        cfg = load_config(raw)
         train, _, shards = orch.build_data(cfg)
         labels, again = orch.train_shards(cfg)
         np.testing.assert_array_equal(labels, train.labels)
         assert len(again) == len(shards)
         for a, b in zip(again, shards):
             np.testing.assert_array_equal(a, b)
+
+    def test_train_shards_read_no_idx_pixel(self, tmp_path):
+        # A 5,000-image 28 x 28 pair: 3.9 MB of pixels, 31 MB as float64.
+        cfg = load_config(self.mnist_config(tmp_path, 5000, 28))
+        tracemalloc.start()
+        try:
+            labels, _ = orch.train_shards(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.tolist() == [i % 10 for i in range(5000)]
+        assert peak < 2**20
 
 
 class TestRun:
@@ -159,7 +181,8 @@ class TestRun:
         rows = [orch._round(cfg, data, cfg.run.eta, state, n)[0] for n in range(6)]
         assert rows == whole.metrics
         np.testing.assert_array_equal(state.model.w, whole.model.w)
-        np.testing.assert_array_equal(state.powers.p, whole.powers.p)
+        np.testing.assert_array_equal(state.p, whole.p)
+        np.testing.assert_array_equal(state.a, whole.a)
 
     def test_mv_error_free_on_homogeneous_noiseless_channel(self):
         # Degenerate geometry and (near) no pointing jitter make every
@@ -306,6 +329,17 @@ class TestLowSnrWarning:
     def test_silent_when_snr_is_fine_or_unused(self, capsys, c_fspl, scheme):
         self.run(c_fspl, scheme)
         assert capsys.readouterr().err == ""
+
+    def test_silent_when_the_data_build_rejects_the_run(self, tmp_path, capsys):
+        # No c_fspl: the physical path loss, far below the SNR floor.  50 nodes
+        # share 10 samples, so every shard is empty and the run never starts.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learner": {"dataset": {"n": 10, "n_test": 5, "d": 3}},
+                                   "run": {"M": 50, "m": 2, "rounds": 2}}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.M / learner.partition: 50 of run.M = 50 shards")
+        assert err.count("\n") == 1
 
 
 class TestMetricsCsv:
