@@ -21,9 +21,9 @@ blocks on the calling thread.  Each block reads its slice of the draws
 from a generator advanced to that slice, and each cell of a block is a
 per-row dot product whose summation order is fixed per row, so every
 report, and every generator state after it, is the same bits for any
-thread count or block size.  The calling thread reduces each block to
-counts as it comes back, so only the two slot normals, of ``samples``
-each, and a few block-sized temporaries per worker are alive.
+thread count or block size.  The calling thread reduces each block to counts
+in one receiver pass for every SNR point, so only the two slot normals, at most
+2 x workers finished blocks and a few temporaries per worker are alive.
 """
 
 import math
@@ -194,30 +194,30 @@ def _cohort_counts(
 ) -> tuple[list, list, list]:
     """Vote/transmit/detect rounds with true sign +1, reduced to counts.
 
-    One cohort (``_cohort_sums``) is scored under each receiver-noise
-    variance: every variance scales the pair of standard normals drawn
-    right after the cohort through ``phy.received``, so a one-cell call
-    gets the bits of drawing that state alone.  A zero variance adds
-    nothing.  The calling thread scores each block as it comes back, so the
-    normals are the only per-sample arrays.  Returns flips (cells,
+    One cohort (``_cohort_sums``) is scored under every receiver-noise
+    variance in one ``phy.received`` per slot and one ``phy.detect_mv`` per
+    block: the variances, as a (variances, 1, 1) column, scale the pair of
+    standard normals drawn right after the cohort, each element with the
+    bits of its own scalar call, so a one-cell call gets the bits of drawing
+    that state alone.  A zero variance adds nothing.  Returns flips (cells,
     variances), strict-majority rows (cells,) and their flips (cells,
     variances).
     """
     blocks = _cohort_sums(cells, params, samples, rng, threads)
     z_plus, z_minus = rng.standard_normal(samples), rng.standard_normal(samples)
     half = np.array([M for M, _ in cells])[:, None] / 2
-    flips = np.zeros((len(cells), len(noise_variances)), dtype=np.int64)
+    s2 = np.array(noise_variances)[:, None, None]
+    flips = np.zeros((len(noise_variances), len(cells)), dtype=np.int64)
     majorities = np.zeros(len(cells), dtype=np.int64)
     flips_in_majority = np.zeros_like(flips)
     for lo, hi, e_plus, e_minus, n_plus in blocks:
         majority = n_plus > half
         majorities += majority.sum(axis=1)
-        for v, s2 in enumerate(noise_variances):
-            flipped = phy.detect_mv(phy.received(e_plus, s2, z_plus[lo:hi]),
-                                    phy.received(e_minus, s2, z_minus[lo:hi])) == -1
-            flips[:, v] += flipped.sum(axis=1)
-            flips_in_majority[:, v] += (flipped & majority).sum(axis=1)
-    return flips.tolist(), majorities.tolist(), flips_in_majority.tolist()
+        flipped = phy.detect_mv(phy.received(e_plus, s2, z_plus[lo:hi]),
+                                phy.received(e_minus, s2, z_minus[lo:hi])) == -1
+        flips += flipped.sum(axis=2)
+        flips_in_majority += (flipped & majority).sum(axis=2)
+    return flips.T.tolist(), majorities.tolist(), flips_in_majority.T.tolist()
 
 
 def _bound_reports(M: int, q_i: float, params: ChannelConfig, noise_variances: list[float],

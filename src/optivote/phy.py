@@ -14,9 +14,9 @@ Symbol energy E_s and receiver gain C_R are fixed to 1.
 import numpy as np
 
 
-def received(signal: np.ndarray, sigma_n2: float, z: np.ndarray) -> np.ndarray:
-    """``signal`` plus the noise floor sigma_n2 plus N(0, sigma_n2) from standard
-    normals ``z``: the bits ``rng.normal(0, sqrt(sigma_n2))`` adds on that draw."""
+def received(signal: np.ndarray, sigma_n2: float | np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``signal`` plus the floor sigma_n2 plus N(0, sigma_n2) from normals ``z``, the bits
+    of ``rng.normal(0, sqrt(sigma_n2))``; ``sigma_n2`` may broadcast against ``signal``."""
     return signal + sigma_n2 + np.sqrt(sigma_n2) * z
 
 

@@ -4,11 +4,11 @@ Every stochastic component receives its own ``numpy.random.Generator``
 derived from (master seed, purpose tag, round, node).  Streams are
 therefore independent of evaluation order and of any parallel schedule.
 A large draw is split into row blocks whose layout is set by the draw's
-shape alone, and the blocks may run on any number of threads.
+shape alone, run on any number of threads with at most 2 x workers in flight.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -33,8 +33,14 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
 
 
 def _map_blocks(fn, blocks: list, threads: int):
-    """``fn(*block)`` of each block, in block order, on
-    ``min(threads, len(blocks))`` worker threads, or inline at one."""
-    workers = min(threads, len(blocks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        yield from (pool.map if pool else map)(lambda b: fn(*b), blocks)
+    """``fn(*block)`` of each block, in block order, on ``min(threads, len(blocks))``
+    workers (inline at one), at most 2 x workers submitted and not yet yielded."""
+    if (workers := min(threads, len(blocks))) < 2:
+        yield from (fn(*b) for b in blocks)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        window = deque(pool.submit(fn, *b) for b in blocks[:2 * workers])
+        for b in blocks[2 * workers:]:
+            yield window.popleft().result()
+            window.append(pool.submit(fn, *b))
+        yield from (f.result() for f in window)

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -111,8 +112,10 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 class TestMakeSynthetic:

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -169,6 +170,20 @@ def whole_draw_energy_means(params, m_plus, m_minus, samples, seed):
             tolerance_rule="|empirical - theoretical| <= 3 SE (two-sided)",
         ))
     return reports
+
+
+def shared_cohort_peak(samples, threads):
+    """Traced peak bytes of the suite's shared-cohort counts at seed 0."""
+    params = mc.unit_channel(xi_snr=1.0)
+    cells = [(M, q) for M in mc.DEFAULT_M_GRID for q in mc.DEFAULT_Q_GRID]
+    noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in mc.DEFAULT_XI_GRID]
+    tracemalloc.start()
+    try:
+        mc._cohort_counts(cells + list(mc.COROLLARY_CELLS), params, noise,
+                          samples, derive(0, TAG_MC, 5), threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestUnitChannel:
@@ -495,34 +510,26 @@ class TestDefaultSuite:
     def test_shared_cohort_peak_memory_is_a_few_blocks(self):
         # The eleven cells share one 101-node cohort: one block of votes and
         # intensities at a time, the two slot normals, and integer counts.
-        params = mc.unit_channel(xi_snr=1.0)
-        cells = [(M, q) for M in mc.DEFAULT_M_GRID for q in mc.DEFAULT_Q_GRID]
-        noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in mc.DEFAULT_XI_GRID]
-        tracemalloc.start()
-        try:
-            mc._cohort_counts(cells + list(mc.COROLLARY_CELLS), params, noise,
-                              100_000, derive(0, TAG_MC, 5), threads=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * mc._BLOCK_ELEMENTS * 8
+        assert shared_cohort_peak(100_000, threads=1) < 8 * mc._BLOCK_ELEMENTS * 8
 
     def test_shared_cohort_peak_memory_on_two_threads(self):
         # Each worker holds its block's intensities and uniforms, a spare
         # half-block of votes and the draw's temporaries; the calling
         # thread holds the two slot normals.
-        params = mc.unit_channel(xi_snr=1.0)
-        cells = [(M, q) for M in mc.DEFAULT_M_GRID for q in mc.DEFAULT_Q_GRID]
-        noise = [mc.unit_channel(xi_snr=xi).sigma_n2 for xi in mc.DEFAULT_XI_GRID]
         samples = 100_000
-        tracemalloc.start()
-        try:
-            mc._cohort_counts(cells + list(mc.COROLLARY_CELLS), params, noise,
-                              samples, derive(0, TAG_MC, 5), threads=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 5 * mc._BLOCK_ELEMENTS * 8 + 2 * 8 * samples
+        assert (shared_cohort_peak(samples, threads=2)
+                < 2 * 5 * mc._BLOCK_ELEMENTS * 8 + 2 * 8 * samples)
+
+    def test_shared_cohort_peak_memory_behind_a_slow_consumer(self, monkeypatch):
+        # The same bound with the calling thread 10 ms slower per vote
+        # detection than the two workers: finished blocks wait in a window
+        # of at most 2 x workers, not in one future per block (which read
+        # about 2.5 x the bound).
+        detect = phy.detect_mv
+        monkeypatch.setattr(phy, "detect_mv", lambda *args: time.sleep(0.01) or detect(*args))
+        samples = 100_000
+        assert (shared_cohort_peak(samples, threads=2)
+                < 2 * 5 * mc._BLOCK_ELEMENTS * 8 + 2 * 8 * samples)
 
     def test_report_bytes_do_not_depend_on_threads(self):
         dumps = {
@@ -531,6 +538,25 @@ class TestDefaultSuite:
             for t in (1, 2, 3)
         }
         assert len(dumps) == 1
+
+    def test_report_bytes_under_fast_thread_switching(self):
+        # Four workers on two cores, interleaved inside every block: a block
+        # overwritten or yielded out of order would move a report.
+        def dump(threads):
+            return json.dumps([asdict(r) for r in
+                               mc.run_default_suite(samples=20_000, seed=3, threads=threads)])
+
+        switched = []
+        runner = threading.Thread(target=lambda: switched.append(dump(4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert switched == [dump(1)]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_report_bytes_do_not_depend_on_block_size(self, monkeypatch, threads):

@@ -99,6 +99,18 @@ class TestReceived:
         assert np.array_equal(noisy.view(np.uint64), expect.view(np.uint64))
         assert got.bit_generator.state == want.bit_generator.state
 
+    def test_variance_column_is_the_stacked_scalar_calls(self):
+        # One call over a (variances, 1, 1) column: each (cells, rows) layer
+        # holds the bits of the call with that scalar variance, 0.0 included.
+        variances = [0.0, 1e-12, 0.1, 40.0]
+        signal = derive(9).uniform(0.0, 3.0, size=(3, 500))
+        z = derive(9, 2).standard_normal(500)
+        column = np.array(variances)[:, None, None]
+        stacked = np.stack([phy.received(signal, s2, z) for s2 in variances])
+        got = phy.received(signal, column, z)
+        assert got.shape == stacked.shape == (4, 3, 500)
+        assert np.array_equal(got.view(np.uint64), stacked.view(np.uint64))
+
 
 class TestSuperposeFrame:
     def test_matches_per_coordinate_superpose_noiseless(self):
