@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channel as ch
 from . import montecarlo, orchestrator, theory
-from .config import ChannelConfig, Config, load_config, parse_config
+from .config import ChannelConfig, Config, parse_config
 from .errors import ConfigError, FormatError, NumericError, UsageError
 
 
@@ -74,7 +74,7 @@ _CHANNEL_FLAGS = ("d_min_km", "d_max_km", "lambda_opt_nm", "a0", "xi_p", "c_fspl
 
 def _channel(*values) -> ChannelConfig:
     """The _CHANNEL_FLAGS values, validated as the config's channel section."""
-    return load_config({"channel": dict(zip(_CHANNEL_FLAGS, values))}).channel
+    return ChannelConfig(**dict(zip(_CHANNEL_FLAGS, values)))
 
 
 # Theory operations: name -> (the flags it reads, fn of their values in that

@@ -109,6 +109,14 @@ class _Section:
     def _check(self):
         pass
 
+    def _unused(self, switch: str, value: str, keys: tuple):
+        """Under ``switch = value`` none of ``keys`` is read, so each must keep its default."""
+        if getattr(self, switch) != value:
+            return
+        for f in fields(self):
+            if f.name in keys and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self._key}.{switch} / {self._key}.{f.name}: unused by {value}")
+
 
 @dataclass(frozen=True)
 class ChannelConfig(_Section):
@@ -185,13 +193,13 @@ class DatasetConfig(_Section):
     test_labels: Optional[str] = None
 
     def _check(self):
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+        idx = ("train_images", "train_labels", "test_images", "test_labels")
+        for key in idx:
             path = getattr(self, key)
             if self.type == "mnist" and not os.path.isfile(path or ""):
                 raise ConfigError(f"learner.dataset.{key}: mnist needs an IDX file, got {path!r}")
-            if self.type == "synthetic" and path is not None:
-                raise ConfigError(f"learner.dataset.type / learner.dataset.{key}: "
-                                  "unused by synthetic")
+        self._unused("type", "synthetic", idx)
+        self._unused("type", "mnist", ("num_classes", "n", "n_test", "d", "separation"))
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,9 @@ class ModelConfig(_Section):
     arch: Literal["logistic", "mlp"] = "logistic"
     hidden: int = _field(32, ge=1)
 
+    def _check(self):
+        self._unused("arch", "logistic", ("hidden",))
+
 
 @dataclass(frozen=True)
 class PartitionConfig(_Section):
@@ -207,13 +218,16 @@ class PartitionConfig(_Section):
     mode: Literal["iid", "noniid"] = "iid"
     labels_per_node: int = _field(2, ge=1)
 
+    def _check(self):
+        self._unused("mode", "iid", ("labels_per_node",))
+
 
 @dataclass(frozen=True)
 class LearnerConfig(_Section):
     _key = "learner"
-    dataset: DatasetConfig = DatasetConfig()
-    model: ModelConfig = ModelConfig()
-    partition: PartitionConfig = PartitionConfig()
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    partition: PartitionConfig = field(default_factory=PartitionConfig)
     local_steps: int = _field(1, ge=1)
 
 
@@ -238,6 +252,7 @@ class RunConfig(_Section):
         if self.lr == "theorem1" and not theory.theorem1_eta(self.L1_estimate, self.d_b) > 0:
             raise ConfigError("run.lr / run.L1_estimate / run.d_b: the theorem1 step "
                               "1 / sqrt(L1_estimate * d_b) is not positive")
+        self._unused("lr", "theorem1", ("eta",))
 
 
 @dataclass(frozen=True)
@@ -255,11 +270,11 @@ class OutputConfig(_Section):
 
 @dataclass(frozen=True)
 class Config(_Section):
-    channel: ChannelConfig = ChannelConfig()
-    power: PowerConfig = PowerConfig()
-    learner: LearnerConfig = LearnerConfig()
-    run: RunConfig = RunConfig()
-    output: OutputConfig = OutputConfig()
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    power: PowerConfig = field(default_factory=PowerConfig)
+    learner: LearnerConfig = field(default_factory=LearnerConfig)
+    run: RunConfig = field(default_factory=RunConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 def load_config(data: dict, overrides: dict | None = None) -> Config:

@@ -106,6 +106,17 @@ class TestConfigSchema:
         assert config_hash(cfg) == digest
         assert hashlib.sha256(resolved_json(cfg).encode()).hexdigest() == resolved
 
+    @pytest.mark.parametrize("path", ["configs/default.json", "configs/mnist_full.json",
+                                      "perfbench/mnist_shape.json"])
+    def test_bundled_and_benchmark_configs_load(self, path):
+        # mnist_full's relative IDX paths need only exist, here in the test's directory.
+        for key, value in json.loads((ROOT / path).read_text())["learner"]["dataset"].items():
+            if key.endswith(("_images", "_labels")):
+                Path(value).parent.mkdir(parents=True, exist_ok=True)
+                Path(value).touch()
+        cfg = parse_config(ROOT / path)
+        assert load_config(json.loads(resolved_json(cfg))) == cfg
+
     def test_hash_changes_with_config(self):
         a = config_hash(load_config({}))
         b = config_hash(load_config({"run": {"seed": 1}}))
@@ -348,6 +359,16 @@ class TestCliSimulate:
         ("run.d_b", "0", "run.d_b: Input should be greater than or equal to 1"),
         # 1e308 * d_b overflows, so the step 1 / sqrt(L1_estimate * d_b) is 0.
         ("run.L1_estimate", "1e308", "run.lr / run.L1_estimate / run.d_b: the theorem1 step"),
+        # A key its branch never reads keeps its default.
+        *[(f"learner.dataset.{name}", value,
+           f"learner.dataset.type / learner.dataset.{name}: unused by mnist")
+          for name, value in (("num_classes", "4"), ("n", "100"), ("n_test", "100"),
+                              ("d", "8"), ("separation", "2.0"))],
+        ("learner.model.hidden", "16",
+         "learner.model.arch / learner.model.hidden: unused by logistic"),
+        ("learner.partition.labels_per_node", "3",
+         "learner.partition.mode / learner.partition.labels_per_node: unused by iid"),
+        ("run.eta", "0.1", "run.lr / run.eta: unused by theorem1"),
     ])
     def test_bad_value_exits_one_before_data_build(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):
@@ -356,8 +377,18 @@ class TestCliSimulate:
 
         monkeypatch.setattr(cli.orchestrator, "build_data", no_data)
         cfg_path = fast_config(tmp_path)
+        # An "unused by <branch>" row runs on that branch; any other on one that reads its key.
+        branch = message.partition("unused by ")[2]
+        if branch == "mnist":
+            dataset = {"type": "mnist"}
+            for name in ("train_images", "train_labels", "test_images", "test_labels"):
+                (tmp_path / name).write_bytes(b"")
+                dataset[name] = str(tmp_path / name)
+            cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
         extra = {"run.L1_estimate": ["--run.lr", '"theorem1"'],
-                 "learner.model.hidden": ["--learner.model.arch", '"mlp"']}.get(key, [])
+                 "learner.model.hidden": ["--learner.model.arch", '"mlp"'],
+                 "theorem1": ["--run.lr", '"theorem1"', "--run.L1_estimate", "2"],
+                 }.get(branch or key, [])
         assert cli.main(["simulate", "--config", cfg_path, *extra,
                          f"--{key}", value]) == 1
         assert message in capsys.readouterr().err
