@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import phy
 from .errors import FormatError, UsageError
 from .rng import _map_blocks, _row_blocks
 
@@ -274,8 +275,8 @@ def local_gradient(
 
 
 def sign_quantize(g: np.ndarray) -> np.ndarray:
-    """Per-coordinate sign over {-1, +1} of a vector or matrix; sign(0) = +1."""
-    return np.where(g >= 0.0, 1, -1).astype(np.int8)
+    """Per-coordinate sign over {-1, +1} of a vector or matrix: phy's vote rule, sign(0) = +1."""
+    return phy.detect_mv(g, 0.0)
 
 
 def apply_update(model: Model, direction: np.ndarray, eta: float) -> Model:

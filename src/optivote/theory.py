@@ -1,9 +1,9 @@
 """Closed-form evaluation of the moment, error-probability, and
 convergence results for energy-detected majority voting.
 
-All functions are pure.  Those the theory and sweep commands reach raise on
-arguments outside their documented domain instead of returning sentinels;
-theorem1_eta takes run's validated L1_estimate and d_b.
+All functions are pure.  Those the theory and sweep commands reach check
+every argument against its ``_DOMAIN`` entry and raise instead of returning
+sentinels; theorem1_eta takes run's validated L1_estimate and d_b.
 """
 
 import math
@@ -12,11 +12,29 @@ from .errors import UsageError
 
 _BRANCH_POINT = 2.0 / math.sqrt(3.0)
 
+# Each closed-form argument's domain, name -> (test, words); NaN fails every test.
+_DOMAIN = {
+    **dict.fromkeys(("M", "N", "gamma", "d_b"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("xi_snr", "L1", "alpha_i", "p_avg", "lam", "theta_val"),
+                    (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("sigma_n2", "gap", "sigma_l1", "g_abs_i", "m_plus", "m_minus"),
+                    (lambda v: v >= 0, "non-negative")),
+    "q_i": (lambda v: 0 <= v <= 0.5, "in [0, 1/2]"),
+    "p_err": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def _require(**args) -> None:
+    """Raise UsageError naming the first argument outside its _DOMAIN entry."""
+    for name, value in args.items():
+        test, words = _DOMAIN[name]
+        if not test(value):
+            raise UsageError(f"{name} must be {words}")
+
 
 def theta(p_avg: float, lam: float) -> float:
     """Mean received signal energy per node: p_avg * lambda (C_R = E_s = 1, as in ``phy``)."""
-    if p_avg <= 0 or lam <= 0:
-        raise UsageError("p_avg and lambda must be positive")
+    _require(p_avg=p_avg, lam=lam)
     return p_avg * lam
 
 
@@ -24,31 +42,20 @@ def energy_means(
     m_plus: int, m_minus: int, theta_val: float, sigma_n2: float
 ) -> tuple[float, float]:
     """Expected slot energies (mu+, mu-) for a given vote split."""
-    if m_plus < 0 or m_minus < 0:
-        raise UsageError("vote counts must be non-negative")
+    _require(m_plus=m_plus, m_minus=m_minus, theta_val=theta_val, sigma_n2=sigma_n2)
     return (m_plus * theta_val + sigma_n2, m_minus * theta_val + sigma_n2)
 
 
 def error_bound(M: int, xi_snr: float, q_i: float) -> float:
     """MV flip-probability bound: (M q + 1/xi) / (M + 2/xi)."""
-    if M < 1:
-        raise UsageError("M must be >= 1")
-    if xi_snr <= 0:
-        raise UsageError("xi_snr must be positive")
-    if not (0.0 <= q_i <= 0.5):
-        raise UsageError("q_i must lie in [0, 1/2]")
+    _require(M=M, xi_snr=xi_snr, q_i=q_i)
     return (M * q_i + 1.0 / xi_snr) / (M + 2.0 / xi_snr)
 
 
 def q_bound(g_abs_i: float, alpha_i: float, d_b: int) -> float:
     """Per-node sign-flip bound from Gauss' inequality, piecewise in the
     normalized margin |g| sqrt(d_b) / alpha; never exceeds 1/2."""
-    if alpha_i <= 0:
-        raise UsageError("alpha_i must be positive")
-    if d_b < 1:
-        raise UsageError("d_b must be >= 1")
-    if g_abs_i < 0:
-        raise UsageError("g_abs_i must be non-negative")
+    _require(g_abs_i=g_abs_i, alpha_i=alpha_i, d_b=d_b)
     if g_abs_i == 0.0:
         return 0.5
     ratio = g_abs_i * math.sqrt(d_b) / alpha_i
@@ -62,15 +69,10 @@ def error_bound_full(
 ) -> float:
     """Flip bound with the data term replaced by sqrt(2) alpha / (3|g| sqrt(d_b)).
 
-    Clamped to [0, 1]: the raw expression exceeds 1 for vanishing |g|.
+    Clamped to [0, 1]: the raw expression exceeds 1 for vanishing |g|; |g| = 0 gives 1.
     """
-    if M < 1:
-        raise UsageError("M must be >= 1")
-    if xi_snr <= 0:
-        raise UsageError("xi_snr must be positive")
-    if alpha_i <= 0 or d_b < 1:
-        raise UsageError("alpha_i must be positive and d_b >= 1")
-    if g_abs_i <= 0:
+    _require(M=M, xi_snr=xi_snr, g_abs_i=g_abs_i, alpha_i=alpha_i, d_b=d_b)
+    if g_abs_i == 0.0:
         return 1.0
     data = math.sqrt(2.0) * alpha_i / (3.0 * g_abs_i * math.sqrt(d_b))
     raw = (M * data + 1.0 / xi_snr) / (M + 2.0 / xi_snr)
@@ -79,8 +81,9 @@ def error_bound_full(
 
 def corollary1_check(m_plus: int, M: int, p_err: float) -> bool:
     """Strict-majority predicate: m+ > M/2 and p_err < 1/2."""
-    if not (0 <= m_plus <= M):
-        raise UsageError("require 0 <= m_plus <= M")
+    _require(m_plus=m_plus, M=M, p_err=p_err)
+    if m_plus > M:
+        raise UsageError("m_plus must be <= M")
     return m_plus > M / 2 and p_err < 0.5
 
 
@@ -93,12 +96,7 @@ def convergence_bound(M: int, xi_snr: float, L1: float, gap: float,
                    + (2 sqrt(2) / 3) * sqrt(gamma) * sigma_l1],
     delta = (1 + 2/(xi M)) / sqrt(gamma).
     """
-    if M < 1 or gamma < 1 or N < 1:
-        raise UsageError("M, N, gamma must be >= 1")
-    if xi_snr <= 0 or L1 <= 0:
-        raise UsageError("xi_snr and L1 must be positive")
-    if gap < 0 or sigma_l1 < 0:
-        raise UsageError("gap and sigma_l1 must be non-negative")
+    _require(M=M, xi_snr=xi_snr, L1=L1, gap=gap, sigma_l1=sigma_l1, N=N, gamma=gamma)
     if N % gamma != 0:
         raise UsageError("N must be divisible by gamma (d_b = N / gamma)")
     delta = (1.0 + 2.0 / (xi_snr * M)) / math.sqrt(gamma)

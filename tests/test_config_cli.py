@@ -566,11 +566,30 @@ class TestCliTheory:
     @pytest.mark.parametrize("flag", ["--gap", "--sigma-l1"])
     def test_negative_convergence_input_exits_one(self, capsys, flag):
         assert cli.main(["theory", "--op", "convergence_bound", flag, "-5"]) == 1
-        assert capsys.readouterr() == ("", "error: gap and sigma_l1 must be non-negative\n")
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr() == ("", f"error: {name} must be non-negative\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["theory", "--op", "energy_means", "--theta", "-3"], "theta_val must be positive"),
+        (["theory", "--op", "energy_means", "--theta", "0"], "theta_val must be positive"),
+        (["theory", "--op", "energy_means", "--sigma-n2", "-1"],
+         "sigma_n2 must be non-negative"),
+        (["theory", "--op", "corollary1_check", "--p-err", "-5"], "p_err must be in [0, 1]"),
+        (["theory", "--op", "corollary1_check", "--p-err", "2"], "p_err must be in [0, 1]"),
+        (["theory", "--op", "corollary1_check", "--M", "0", "--m-plus", "0"],
+         "M must be >= 1"),
+        (["theory", "--op", "error_bound_full", "--g", "-1"],
+         "g_abs_i must be non-negative"),
+        (["sweep", "--op", "energy_means", "--param", "sigma_n2=-1,0.1"],
+         "sigma_n2 must be non-negative"),
+    ])
+    def test_out_of_domain_flag_exits_one_naming_it(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_domain_error_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: q_i must be in [0, 1/2]\n")
 
     def test_wavelength_with_c_fspl_exits_one(self, tmp_path, capsys):
         both = "error: channel.lambda_opt_nm / channel.c_fspl: set one of the two\n"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -113,6 +114,7 @@ class TestErrorBoundFull:
 
     def test_clamped_to_unit_interval(self):
         assert theory.error_bound_full(10, 1.0, 1e-9, 1.0, 1) == 1.0
+        assert theory.error_bound_full(10, 1.0, 0.0, 1.0, 1) == 1.0
 
 
 class TestCorollary1:
@@ -194,3 +196,44 @@ class TestConvergenceBound:
 class TestTheorem1Eta:
     def test_schedule(self):
         assert theory.theorem1_eta(10.0, 100) == pytest.approx(1.0 / math.sqrt(1000.0))
+
+
+# Each closed form the theory and sweep commands reach, at a point inside its domain.
+CLOSED_FORMS = {
+    theory.theta: dict(p_avg=1.0, lam=1.0),
+    theory.energy_means: dict(m_plus=3, m_minus=1, theta_val=2.0, sigma_n2=0.5),
+    theory.error_bound: dict(M=10, xi_snr=1.0, q_i=0.2),
+    theory.q_bound: dict(g_abs_i=1.0, alpha_i=1.0, d_b=4),
+    theory.error_bound_full: dict(M=10, xi_snr=1.0, g_abs_i=1.0, alpha_i=1.0, d_b=4),
+    theory.corollary1_check: dict(m_plus=6, M=10, p_err=0.3),
+    theory.convergence_bound: default_inputs(),
+}
+
+
+class TestDomain:
+    def test_every_argument_has_a_domain(self):
+        # theorem1_eta takes run's validated values; every other closed form
+        # is listed above, so a new one fails here until it has a domain.
+        public = {fn for name, fn in vars(theory).items()
+                  if inspect.isfunction(fn) and not name.startswith("_")}
+        assert public - {theory.theorem1_eta} == set(CLOSED_FORMS)
+        params = {name for fn in CLOSED_FORMS
+                  for name in inspect.signature(fn).parameters}
+        assert params == set(theory._DOMAIN)
+        for fn, point in CLOSED_FORMS.items():
+            assert list(point) == list(inspect.signature(fn).parameters)
+            fn(**point)
+
+    @pytest.mark.parametrize("fn, name", [
+        (fn, name) for fn, point in CLOSED_FORMS.items() for name in point],
+        ids=lambda v: getattr(v, "__name__", v))
+    def test_nan_argument_is_rejected_by_name(self, fn, name):
+        # NaN fails every domain test, so each argument must be checked.
+        point = {**CLOSED_FORMS[fn], name: math.nan}
+        with pytest.raises(UsageError, match=f"^{name} must be "):
+            fn(**point)
+
+    def test_cross_argument_rules(self):
+        with pytest.raises(UsageError, match="^m_plus must be <= M$"):
+            theory.corollary1_check(11, 10, 0.3)
+        assert theory.corollary1_check(10, 10, 0.0) is True
