@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 config/usage error, 2 verification failure,
 """
 
 import argparse
+import inspect
 import itertools
 import json
 import math
@@ -68,30 +69,15 @@ def _cmd_simulate(args, extras) -> int:
     return 0
 
 
-# The channel flags of lambda_eff and lambda_oracle: all but sigma_n2.
-_CHANNEL_FLAGS = ("d_min_km", "d_max_km", "lambda_opt_nm", "a0", "xi_p", "c_fspl")
-
-
-def _channel(*values) -> ChannelConfig:
-    """The _CHANNEL_FLAGS values, validated as the config's channel section."""
-    return ChannelConfig(**dict(zip(_CHANNEL_FLAGS, values)))
-
-
-# Theory operations: name -> (the flags it reads, fn of their values in that
-# order).  Each fn looks its closed form up at call time, for perfbench's tracer.
+# Theory operations: name -> (the flags it reads, in order; the module defining
+# it).  A closed form reads its parameters; lambda_eff and lambda_oracle read the
+# channel section's fields but sigma_n2, which neither uses.
 THEORY_OPS = {
-    "theta": (("p_avg", "lam"), lambda *v: theory.theta(*v)),
-    "energy_means": (("m_plus", "m_minus", "theta", "sigma_n2"),
-                     lambda *v: theory.energy_means(*v)),
-    "error_bound": (("M", "xi", "q"), lambda *v: theory.error_bound(*v)),
-    "q_bound": (("g", "alpha", "d_b"), lambda *v: theory.q_bound(*v)),
-    "error_bound_full": (("M", "xi", "g", "alpha", "d_b"),
-                         lambda *v: theory.error_bound_full(*v)),
-    "corollary1_check": (("m_plus", "M", "p_err"), lambda *v: theory.corollary1_check(*v)),
-    "convergence_bound": (("M", "xi", "L1", "gap", "sigma_l1", "N", "gamma"),
-                          lambda *v: theory.convergence_bound(*v)),
-    "lambda_eff": (_CHANNEL_FLAGS, lambda *v: ch.lambda_eff(_channel(*v))),
-    "lambda_oracle": (_CHANNEL_FLAGS, lambda *v: ch.lambda_oracle(_channel(*v))),
+    **{op.__name__: (tuple(inspect.signature(op).parameters), theory) for op in (
+        theory.theta, theory.energy_means, theory.error_bound, theory.q_bound,
+        theory.error_bound_full, theory.corollary1_check, theory.convergence_bound)},
+    **{op.__name__: (tuple(f.name for f in fields(ChannelConfig) if f.name != "sigma_n2"), ch)
+       for op in (ch.lambda_eff, ch.lambda_oracle)},
 }
 
 
@@ -102,17 +88,24 @@ def _finite(text: str) -> float:
     return value
 
 
-_finite.__name__ = "float"  # so argparse still reports "invalid float value: 'abc'"
+def _integer(text: str) -> int:
+    """The type of every integer flag: an int that a closed form can take as a float."""
+    if abs(value := int(text)) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max:.6g} in magnitude")
+    return value
+
+
+_finite.__name__, _integer.__name__ = "float", "int"  # for argparse's "invalid int value: 'a'"
 
 
 # theory/sweep flags: name -> (type, default when not typed), the channel's from
 # its config section.  --d-b sets d_b; a sweep axis --param d_b=1,4 takes the flag's type.
 THEORY_FLAGS = {
-    "M": (int, 10), "xi": (_finite, 1.0), "q": (_finite, 0.2), "g": (_finite, 1.0),
-    "alpha": (_finite, 1.0), "d_b": (int, 1), "m_plus": (int, 0), "m_minus": (int, 0),
-    "theta": (_finite, 1.0), "p_avg": (_finite, 1.0), "lam": (_finite, 1.0),
-    "p_err": (_finite, 0.0), "L1": (_finite, 1.0), "gap": (_finite, 1.0),
-    "sigma_l1": (_finite, 1.0), "N": (int, 100), "gamma": (int, 1),
+    "M": (_integer, 10), "xi": (_finite, 1.0), "q": (_finite, 0.2), "g": (_finite, 1.0),
+    "alpha": (_finite, 1.0), "d_b": (_integer, 1), "m_plus": (_integer, 0),
+    "m_minus": (_integer, 0), "theta": (_finite, 1.0), "p_avg": (_finite, 1.0),
+    "lam": (_finite, 1.0), "p_err": (_finite, 0.0), "L1": (_finite, 1.0), "gap": (_finite, 1.0),
+    "sigma_l1": (_finite, 1.0), "N": (_integer, 100), "gamma": (_integer, 1),
     **{f.name: (_finite, f.default) for f in fields(ChannelConfig)},
 }
 
@@ -143,7 +136,7 @@ def _cmd_theory(args, extras) -> int:
     prints one CSV row per point, each axis value as typed and each element
     of a tuple-valued op in its own column (op_0, op_1, ...).
     """
-    reads, op = THEORY_OPS[args.op]
+    reads, module = THEORY_OPS[args.op]
     axes = _sweep_axes(args.param)
     typed = [name for name in vars(args) if name in THEORY_FLAGS]
     for name in [*typed, *axes]:
@@ -155,8 +148,17 @@ def _cmd_theory(args, extras) -> int:
     rows = []
     for point in itertools.product(*axes.values()):
         given = {**vars(args), **{name: value for name, (_, value) in zip(axes, point)}}
-        result = op(*(given.get(name, THEORY_FLAGS[name][1]) for name in reads))
+        inputs = [given.get(name, THEORY_FLAGS[name][1]) for name in reads]
+        if module is ch:  # the channel's ops take the section their flags build
+            inputs = [ChannelConfig(**dict(zip(reads, inputs)))]
+        try:  # looked up at call time, for perfbench's tracer
+            result = getattr(module, args.op)(*inputs)
+        except OverflowError:
+            result = math.inf
         values = result if isinstance(result, tuple) else (result,)
+        if not all(map(math.isfinite, values)):
+            at = "".join(f" {name}={text}" for name, (text, _) in zip(axes, point))
+            raise NumericError(f"--op {args.op} overflowed{at and ' at' + at}")
         rows.append(",".join([text for text, _ in point] + [f"{v}" for v in values]))
     if args.command == "theory":
         print(json.dumps({args.op: result}))

@@ -49,7 +49,7 @@ def superpose_frame(
 def detect_mv(e_plus: np.ndarray, e_minus: np.ndarray) -> np.ndarray:
     """Per-coordinate vote: sign(e+ - e-), with the tie delta=0 -> +1 (NaN -> -1)."""
     delta = np.asarray(e_plus, dtype=float) - np.asarray(e_minus, dtype=float)
-    return np.where(delta >= 0.0, 1, -1).astype(np.int8)
+    return np.where(delta >= 0.0, np.int8(1), np.int8(-1))
 
 
 def ideal_majority(signs: np.ndarray) -> np.ndarray:

@@ -139,7 +139,7 @@ def test_criterion_06_convergence_bound_instance():
     """The convergence-bound evaluator reproduces an independently
     hand-computed instance to 1e-9 and decreases monotonically in both
     the SNR and the round count."""
-    got = theory.convergence_bound(M=20, xi_snr=1.0, L1=10.0, gap=5.0,
+    got = theory.convergence_bound(M=20, xi=1.0, L1=10.0, gap=5.0,
                                    sigma_l1=2.0, N=400, gamma=4)
     # hand evaluation: delta = (1 + 2/20)/2 = 0.55;
     # (0.55*sqrt(10)*7 + (2*sqrt(2)/3)*2*2) / sqrt(400)
@@ -147,12 +147,12 @@ def test_criterion_06_convergence_bound_instance():
     exact = abs(got - hand) <= 1e-9
 
     def at(**kw):
-        base = dict(M=20, xi_snr=1.0, L1=10.0, gap=5.0, sigma_l1=2.0,
+        base = dict(M=20, xi=1.0, L1=10.0, gap=5.0, sigma_l1=2.0,
                     N=400, gamma=4)
         base.update(kw)
         return theory.convergence_bound(**base)
 
-    xi_vals = [at(xi_snr=x) for x in (0.25, 0.5, 1.0, 2.0, 8.0, 64.0)]
+    xi_vals = [at(xi=x) for x in (0.25, 0.5, 1.0, 2.0, 8.0, 64.0)]
     n_vals = [at(N=n) for n in (100, 200, 400, 800)]
     mono = (all(a > b for a, b in zip(xi_vals, xi_vals[1:]))
             and all(a > b for a, b in zip(n_vals, n_vals[1:])))

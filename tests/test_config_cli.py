@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import FrozenInstanceError, fields, replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optivote import cli, learner
+from optivote import cli, learner, theory
 from optivote.config import (
     ChannelConfig, Config, config_hash, load_config, parse_config, resolved_json,
 )
@@ -563,6 +564,36 @@ class TestCliTheory:
         assert captured.out == ""
         assert f"{flag}: must be a finite number, got " in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["theory", "--op", "error_bound", "--M", "9" * 400], "argument --M"),
+        (["theory", "--op", "energy_means", "--m-plus", "9" * 400], "argument --m-plus"),
+        (["sweep", "--op", "error_bound", "--param", "M=10," + "9" * 400], "--param M"),
+    ])
+    def test_integer_past_the_float_range_exits_one_naming_it(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{flag}: must be at most 1.79769e+308 in magnitude\n" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["theory", "--op", "theta", "--lam", "1e308", "--p-avg", "10"], "theta overflowed"),
+        (["theory", "--op", "convergence_bound", "--gap", "1e308", "--L1", "1e300"],
+         "convergence_bound overflowed"),
+        (["theory", "--op", "q_bound", "--g", "1e200"], "q_bound overflowed"),
+        (["sweep", "--op", "theta", "--param", "lam=1,1e308", "--p-avg", "10"],
+         "theta overflowed at lam=1e308"),
+    ])
+    def test_overflowing_result_exits_three_naming_the_op(self, capsys, argv, message):
+        # Finite flags whose result is not finite print no JSON Infinity and no partial CSV.
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", f"numeric error: --op {message}\n")
+
+    def test_overflowing_sweep_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--op", "theta", "--param", "lam=1,1e308", "--p-avg", "10",
+                         "--output", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--gap", "--sigma-l1"])
     def test_negative_convergence_input_exits_one(self, capsys, flag):
         assert cli.main(["theory", "--op", "convergence_bound", flag, "-5"]) == 1
@@ -570,8 +601,8 @@ class TestCliTheory:
         assert capsys.readouterr() == ("", f"error: {name} must be non-negative\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["theory", "--op", "energy_means", "--theta", "-3"], "theta_val must be positive"),
-        (["theory", "--op", "energy_means", "--theta", "0"], "theta_val must be positive"),
+        (["theory", "--op", "energy_means", "--theta", "-3"], "theta must be positive"),
+        (["theory", "--op", "energy_means", "--theta", "0"], "theta must be positive"),
         (["theory", "--op", "energy_means", "--sigma-n2", "-1"],
          "sigma_n2 must be non-negative"),
         (["theory", "--op", "corollary1_check", "--p-err", "-5"], "p_err must be in [0, 1]"),
@@ -579,9 +610,12 @@ class TestCliTheory:
         (["theory", "--op", "corollary1_check", "--M", "0", "--m-plus", "0"],
          "M must be >= 1"),
         (["theory", "--op", "error_bound_full", "--g", "-1"],
-         "g_abs_i must be non-negative"),
+         "g must be non-negative"),
         (["sweep", "--op", "energy_means", "--param", "sigma_n2=-1,0.1"],
          "sigma_n2 must be non-negative"),
+        (["theory", "--op", "error_bound", "--xi", "-1"], "xi must be positive"),
+        (["theory", "--op", "q_bound", "--g", "-1"], "g must be non-negative"),
+        (["theory", "--op", "q_bound", "--alpha", "0"], "alpha must be positive"),
     ])
     def test_out_of_domain_flag_exits_one_naming_it(self, capsys, argv, message):
         assert cli.main(argv) == 1
@@ -589,7 +623,7 @@ class TestCliTheory:
 
     def test_domain_error_exits_one(self, capsys):
         assert cli.main(["theory", "--op", "error_bound", "--q", "0.9"]) == 1
-        assert capsys.readouterr() == ("", "error: q_i must be in [0, 1/2]\n")
+        assert capsys.readouterr() == ("", "error: q must be in [0, 1/2]\n")
 
     def test_wavelength_with_c_fspl_exits_one(self, tmp_path, capsys):
         both = "error: channel.lambda_opt_nm / channel.c_fspl: set one of the two\n"
@@ -671,11 +705,12 @@ class TestCliSweep:
             args = parser.parse_args([command, "--op", "theta"])
             assert not set(vars(args)) & set(cli.THEORY_FLAGS)
             for name, (kind, default) in cli.THEORY_FLAGS.items():
-                assert kind in (int, cli._finite)  # every float flag must be finite
+                # every float flag must be finite, every int one within the float range
+                assert kind in (cli._integer, cli._finite)
                 if default is not None:
                     flag = "--" + name.replace("_", "-")
                     typed = parser.parse_args([command, "--op", "theta", flag, str(default)])
-                    assert type(getattr(typed, name)) is (int if kind is int else float)
+                    assert type(getattr(typed, name)) is (int if kind is cli._integer else float)
                     assert getattr(typed, name) == default
             typed = parser.parse_args([command, "--op", "theta", "--d-b", "4",
                                        "--sigma-n2", "0.5"])
@@ -683,6 +718,15 @@ class TestCliSweep:
             assert [name for name in vars(typed) if name in cli.THEORY_FLAGS] == [
                 "d_b", "sigma_n2"]
         assert len(cli.THEORY_FLAGS) == 24
+        # Each closed form's parameter is its flag, typed as the parameter is annotated.
+        closed_forms = [getattr(theory, op) for op, (_, module) in cli.THEORY_OPS.items()
+                        if module is theory]
+        assert len(closed_forms) == 7
+        for fn in closed_forms:
+            for name, param in inspect.signature(fn).parameters.items():
+                assert name in cli.THEORY_FLAGS, (fn.__name__, name)
+                kind = {int: cli._integer, float: cli._finite}[param.annotation]
+                assert cli.THEORY_FLAGS[name][0] is kind, (fn.__name__, name)
 
     def test_every_flag_is_read_by_some_op(self):
         reads = {name for flags, _ in cli.THEORY_OPS.values() for name in flags}

@@ -48,6 +48,14 @@ class TestDetectMv:
     def test_tie_resolves_positive(self):
         assert phy.detect_mv(np.array([0.3]), np.array([0.3])).tolist() == [1]
 
+    def test_signed_zero_nan_and_infinite_energies(self):
+        e_plus = np.array([0.0, -0.0, 0.0, np.nan, 1.0, np.inf, np.inf, -np.inf])
+        e_minus = np.array([-0.0, 0.0, 0.0, 1.0, np.nan, 1.0, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN votes -1
+            votes = phy.detect_mv(e_plus, e_minus)
+        assert votes.dtype == np.int8
+        assert votes.tolist() == [1, 1, 1, -1, -1, 1, -1, -1]
+
     def test_brute_force_majority_equivalence(self):
         # noiseless homogeneous channel: energy detection == exact majority
         for M in range(1, 9):

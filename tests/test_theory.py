@@ -28,15 +28,15 @@ class TestTheta:
 
 class TestEnergyMeans:
     def test_empty_vote_is_noise_floor(self):
-        mu_p, _ = theory.energy_means(0, 5, theta_val=2.0, sigma_n2=0.5)
+        mu_p, _ = theory.energy_means(0, 5, theta=2.0, sigma_n2=0.5)
         assert mu_p == 0.5
 
     def test_worked_value(self):
-        mu_p, _ = theory.energy_means(3, 1, theta_val=2.0, sigma_n2=0.5)
+        mu_p, _ = theory.energy_means(3, 1, theta=2.0, sigma_n2=0.5)
         assert mu_p == pytest.approx(6.5)
 
     def test_difference_and_conservation(self):
-        mu_p, mu_m = theory.energy_means(7, 3, theta_val=1.3, sigma_n2=0.2)
+        mu_p, mu_m = theory.energy_means(7, 3, theta=1.3, sigma_n2=0.2)
         assert mu_p - mu_m == pytest.approx(4 * 1.3)
         assert mu_p + mu_m == pytest.approx(10 * 1.3 + 2 * 0.2)
 
@@ -129,14 +129,14 @@ class TestCorollary1:
 
 
 def default_inputs(**kw):
-    base = dict(M=20, xi_snr=1.0, L1=10.0, gap=5.0, sigma_l1=2.0, N=400, gamma=4)
+    base = dict(M=20, xi=1.0, L1=10.0, gap=5.0, sigma_l1=2.0, N=400, gamma=4)
     base.update(kw)
     return base
 
 
-def appendix_grouping(M, xi_snr, L1, gap, sigma_l1, N, gamma):
+def appendix_grouping(M, xi, L1, gap, sigma_l1, N, gamma):
     """The proof's final rearrangement, with the gamma terms split apart."""
-    c = 1.0 + 2.0 / (xi_snr * M)
+    c = 1.0 + 2.0 / (xi * M)
     term_a = c * math.sqrt(gamma) / (2.0 * math.sqrt(N)) * math.sqrt(L1)
     term_b = c * math.sqrt(L1) / math.sqrt(N * gamma) * gap
     term_c = 2.0 * math.sqrt(2.0) * math.sqrt(gamma) * sigma_l1 / (3.0 * math.sqrt(N))
@@ -160,7 +160,7 @@ class TestConvergenceBound:
         assert b800 == pytest.approx(b400 / math.sqrt(2), rel=1e-12)
 
     def test_delta_limit_large_snr(self):
-        inputs = default_inputs(xi_snr=1e9, M=10**6)
+        inputs = default_inputs(xi=1e9, M=10**6)
         loose = theory.convergence_bound(**inputs)
         # with delta -> 1/sqrt(gamma)
         expected = (math.sqrt(10.0) * 7.0 / 2.0
@@ -168,7 +168,7 @@ class TestConvergenceBound:
         assert loose == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_in_xi_and_sigma(self):
-        vals = [theory.convergence_bound(**default_inputs(xi_snr=x))
+        vals = [theory.convergence_bound(**default_inputs(xi=x))
                 for x in (0.1, 0.5, 1, 5, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         vals = [theory.convergence_bound(**default_inputs(sigma_l1=s))
@@ -188,7 +188,7 @@ class TestConvergenceBound:
     def test_appendix_form_agrees(self):
         # the regrouped proof-side expression is algebraically identical
         for xi in (0.3, 1.0, 7.0):
-            inputs = default_inputs(xi_snr=xi)
+            inputs = default_inputs(xi=xi)
             assert appendix_grouping(**inputs) == pytest.approx(
                 theory.convergence_bound(**inputs), rel=1e-12)
 
@@ -201,10 +201,10 @@ class TestTheorem1Eta:
 # Each closed form the theory and sweep commands reach, at a point inside its domain.
 CLOSED_FORMS = {
     theory.theta: dict(p_avg=1.0, lam=1.0),
-    theory.energy_means: dict(m_plus=3, m_minus=1, theta_val=2.0, sigma_n2=0.5),
-    theory.error_bound: dict(M=10, xi_snr=1.0, q_i=0.2),
-    theory.q_bound: dict(g_abs_i=1.0, alpha_i=1.0, d_b=4),
-    theory.error_bound_full: dict(M=10, xi_snr=1.0, g_abs_i=1.0, alpha_i=1.0, d_b=4),
+    theory.energy_means: dict(m_plus=3, m_minus=1, theta=2.0, sigma_n2=0.5),
+    theory.error_bound: dict(M=10, xi=1.0, q=0.2),
+    theory.q_bound: dict(g=1.0, alpha=1.0, d_b=4),
+    theory.error_bound_full: dict(M=10, xi=1.0, g=1.0, alpha=1.0, d_b=4),
     theory.corollary1_check: dict(m_plus=6, M=10, p_err=0.3),
     theory.convergence_bound: default_inputs(),
 }
