@@ -10,7 +10,7 @@ quadrature as an independent cross-check, and is the package's only user
 of scipy, which it imports when called.
 
 Every function takes a ``config.ChannelConfig``, which holds the range
-checks, and reads its SI properties (``d_min``, ``d_max``, ``fspl_constant``).
+checks, and reads its distances in meters (``d_min``, ``d_max``) and ``c_fspl``.
 
 ``sample_channel`` draws one node's intensity with Python float
 arithmetic; ``sample_intensities`` draws many with numpy arrays.  The two
@@ -50,7 +50,7 @@ def _intensity(params: "ChannelConfig", u_distance, u_pointing):
     """h_l * h_p from the two uniform arrays, built in ``u_distance``'s buffer."""
     gain = _distance(params, u_distance)
     np.square(gain, out=gain)
-    np.divide(params.fspl_constant, gain, out=gain)
+    np.divide(params.c_fspl, gain, out=gain)
     gain *= _pointing(params, u_pointing)
     return gain
 
@@ -68,7 +68,7 @@ def sample_pointing(params: "ChannelConfig", rng: np.random.Generator, size=None
 def sample_channel(params: "ChannelConfig", rng: np.random.Generator) -> float:
     """One joint draw of the intensity h_l * h_p, held fixed within a round."""
     d = float(sample_distance(params, rng))
-    return params.fspl_constant / d**2 * float(sample_pointing(params, rng))
+    return params.c_fspl / d**2 * float(sample_pointing(params, rng))
 
 
 def sample_intensities(params: "ChannelConfig", rng: np.random.Generator, size: int):
@@ -83,7 +83,7 @@ def sample_intensities(params: "ChannelConfig", rng: np.random.Generator, size: 
 
 def geometric_efficiency(params: "ChannelConfig") -> float:
     """Mean of h_l over the spherical-shell distance distribution."""
-    c = params.fspl_constant
+    c = params.c_fspl
     num = 3.0 * c * (params.d_max - params.d_min)
     den = params.d_max**3 - params.d_min**3
     return num / den
@@ -108,7 +108,7 @@ def lambda_oracle(params: "ChannelConfig") -> float:
     # scipy.integrate loads scipy.special/optimize/sparse: ~0.75 s, 40 MiB no other command needs.
     from scipy import integrate
 
-    c = params.fspl_constant
+    c = params.c_fspl
     den = params.d_max**3 - params.d_min**3
 
     def hl_integrand(d):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import channel as ch
 from . import montecarlo, orchestrator, theory
-from .config import ChannelConfig, Config, parse_config
+from .config import ChannelConfig, parse_config
 from .errors import ConfigError, FormatError, NumericError, UsageError
 
 
@@ -41,20 +41,6 @@ def _collect_overrides(extras: list[str]) -> dict:
     return overrides
 
 
-def _load_run_config(args, extras) -> Config:
-    overrides = _collect_overrides(extras)
-    env_seed = os.environ.get("OPTIVOTE_SEED")
-    if env_seed is not None:
-        if "run.seed" in overrides:
-            raise ConfigError("OPTIVOTE_SEED would override --run.seed; give one of the two")
-        try:
-            overrides["run.seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"OPTIVOTE_SEED must be an integer, got {env_seed!r}") from None
-    return parse_config(args.config, overrides)
-
-
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or to stdout without one."""
     if path:
@@ -64,7 +50,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args, extras) -> int:
-    state = orchestrator.run(_load_run_config(args, extras), threads=args.threads)
+    state = orchestrator.run(parse_config(args.config, _collect_overrides(extras)),
+                             threads=args.threads)
     print(f"final accuracy {state.final_accuracy:.4f}")
     return 0
 
@@ -182,8 +169,8 @@ def _cmd_verify(args, extras) -> int:
 
 
 def _cmd_partition_inspect(args, extras) -> int:
-    cfg = _load_run_config(args, extras)
-    train_labels, shards = orchestrator.train_shards(cfg)
+    train_labels, shards = orchestrator.train_shards(
+        parse_config(args.config, _collect_overrides(extras)))
     info = []
     for node, idx in enumerate(shards):
         labels, counts = np.unique(train_labels[idx], return_counts=True)
@@ -252,7 +239,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NumericError, FloatingPointError) as err:
+    except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
 

@@ -8,8 +8,7 @@ value fails with its dotted key (``power.rho: Input should be greater than
 or equal to 0``).  The library functions a run calls take these validated
 values and do not check them again.  ``ChannelConfig`` and ``PowerConfig``
 are also the parameter types of the channel and power layers: the channel
-section takes kilometers and nanometers, and the samplers read its SI
-properties.
+section takes kilometers, and the samplers read its distances in meters.
 """
 
 import hashlib
@@ -123,11 +122,11 @@ class ChannelConfig(_Section):
     _key = "channel"
     d_min_km: float = _field(500.0, gt=0)
     d_max_km: float = 2000.0
-    lambda_opt_nm: Optional[float] = _field(None, gt=0)  # 1550 when c_fspl is unset
     a0: float = _field(0.9, gt=0, le=1)
     xi_p: float = _field(1.5, gt=0)
     sigma_n2: float = _field(0.1, ge=0)
-    c_fspl: Optional[float] = _field(None, gt=0)  # C_FSPL in place of the wavelength's
+    # C_FSPL = (lambda_opt / 4 pi)^2, lambda_opt in meters: 1550 nm by default
+    c_fspl: float = _field((1550.0 * 1e-9 / (4.0 * math.pi)) ** 2, gt=0)
 
     @property
     def d_min(self) -> float:  # meters
@@ -137,18 +136,7 @@ class ChannelConfig(_Section):
     def d_max(self) -> float:  # meters
         return self.d_max_km * 1e3
 
-    @property
-    def fspl_constant(self) -> float:
-        """``c_fspl``, or (lambda_opt / 4 pi)^2 with lambda_opt in meters."""
-        if self.c_fspl is not None:
-            return self.c_fspl
-        return (self.lambda_opt_nm * 1e-9 / (4.0 * math.pi)) ** 2
-
     def _check(self):
-        if self.c_fspl is None and self.lambda_opt_nm is None:
-            object.__setattr__(self, "lambda_opt_nm", 1550.0)
-        if self.lambda_opt_nm is not None and self.c_fspl is not None:
-            raise ConfigError("channel.lambda_opt_nm / channel.c_fspl: set one of the two")
         if not self.d_min_km < self.d_max_km:
             raise ConfigError("channel.d_min_km / channel.d_max_km: require d_min_km < d_max_km")
         try:
@@ -156,9 +144,8 @@ class ChannelConfig(_Section):
         except ArithmeticError:  # a power overflowed or the shell volume underflowed
             lam = math.nan
         if not 0 < lam < math.inf:
-            fspl = "channel.lambda_opt_nm" if self.c_fspl is None else "channel.c_fspl"
-            raise ConfigError(f"channel.d_min_km / channel.d_max_km / channel.a0 / channel.xi_p"
-                              f" / {fspl}: lambda_eff = {lam} is not a positive finite number")
+            raise ConfigError("channel.d_min_km / channel.d_max_km / channel.a0 / channel.xi_p / "
+                              f"channel.c_fspl: lambda_eff = {lam} is not a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -239,20 +226,20 @@ class RunConfig(_Section):
     rounds: int = _field(200, ge=0)
     d_b: int = _field(64, ge=1)
     eta: float = _field(0.05, gt=0)
-    lr: Literal["constant", "theorem1"] = "constant"
-    L1_estimate: Optional[float] = _field(None, gt=0)
+    L1_estimate: Optional[float] = _field(None, gt=0)  # set: the theorem1 step, in place of eta
     scheme: Literal[SCHEMES] = "optivote"
     seed: int = _field(0, ge=0)
 
     def _check(self):
         if not (1 <= self.m <= self.M):
             raise ConfigError("run.m / run.M: require 1 <= m <= M")
-        if (self.lr == "theorem1") != (self.L1_estimate is not None):
-            raise ConfigError("run.lr / run.L1_estimate: set L1_estimate exactly when lr = 'theorem1'")
-        if self.lr == "theorem1" and not theory.theorem1_eta(self.L1_estimate, self.d_b) > 0:
-            raise ConfigError("run.lr / run.L1_estimate / run.d_b: the theorem1 step "
+        if self.L1_estimate is None:
+            return
+        if not theory.theorem1_eta(self.L1_estimate, self.d_b) > 0:
+            raise ConfigError("run.L1_estimate / run.d_b: the theorem1 step "
                               "1 / sqrt(L1_estimate * d_b) is not positive")
-        self._unused("lr", "theorem1", ("eta",))
+        if self.eta != RunConfig.eta:
+            raise ConfigError("run.L1_estimate / run.eta: unused by theorem1")
 
 
 @dataclass(frozen=True)

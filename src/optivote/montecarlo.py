@@ -325,6 +325,10 @@ def run_default_suite(
     """
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples")
+    width = max(M for M, _ in COROLLARY_CELLS)  # the shared cohort's nodes
+    if samples * width > np.iinfo(np.intp).max:
+        raise UsageError(f"--samples must be at most {np.iinfo(np.intp).max // width}, "
+                         f"so numpy can index a {width}-wide cohort")
     reports: list[McReport] = []
 
     params = unit_channel(xi_snr=1.0)

@@ -270,7 +270,7 @@ def run(cfg: Config, threads: int = 1) -> RunState:
         cfg.learner.model.arch, data[0].d, data[0].num_classes, hidden=cfg.learner.model.hidden,
         seed=int(derive(rc.seed, TAG_DATA, 2).integers(2**31)),
     ), p=np.full(rc.M, cfg.power.p_avg), a=np.full(rc.M, 0.5))  # scores start neutral
-    eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b) if rc.lr == "theorem1" else rc.eta
+    eta = theory.theorem1_eta(rc.L1_estimate, rc.d_b) if rc.L1_estimate is not None else rc.eta
 
     out = Path(cfg.output.dir)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -46,10 +46,17 @@ def energy_means(m_plus: int, m_minus: int, theta: float,
     return (m_plus * theta + sigma_n2, m_minus * theta + sigma_n2)
 
 
+def _flip_bound(M: int, data: float, xi: float) -> float:
+    """(M data + 1/xi) / (M + 2/xi), multiplied through by xi where 2/xi overflows."""
+    if 2.0 / xi == math.inf:
+        return (M * data * xi + 1.0) / (M * xi + 2.0)
+    return (M * data + 1.0 / xi) / (M + 2.0 / xi)
+
+
 def error_bound(M: int, xi: float, q: float) -> float:
     """MV flip-probability bound: (M q + 1/xi) / (M + 2/xi)."""
     _require(M=M, xi=xi, q=q)
-    return (M * q + 1.0 / xi) / (M + 2.0 / xi)
+    return _flip_bound(M, q, xi)
 
 
 def q_bound(g: float, alpha: float, d_b: int) -> float:
@@ -60,7 +67,10 @@ def q_bound(g: float, alpha: float, d_b: int) -> float:
         return 0.5
     ratio = g * math.sqrt(d_b) / alpha
     if ratio > _BRANCH_POINT:
-        return (2.0 / 9.0) / ratio**2
+        try:
+            return (2.0 / 9.0) / ratio**2
+        except OverflowError:  # ratio**2 is past the float range; the bound is not
+            return (2.0 / 9.0) / ratio / ratio
     return 0.5 - ratio / (2.0 * math.sqrt(3.0))
 
 
@@ -73,8 +83,7 @@ def error_bound_full(M: int, xi: float, g: float, alpha: float, d_b: int) -> flo
     if g == 0.0:
         return 1.0
     data = math.sqrt(2.0) * alpha / (3.0 * g * math.sqrt(d_b))
-    raw = (M * data + 1.0 / xi) / (M + 2.0 / xi)
-    return min(max(raw, 0.0), 1.0)
+    return min(max(_flip_bound(M, data, xi), 0.0), 1.0)
 
 
 def corollary1_check(m_plus: int, M: int, p_err: float) -> bool:

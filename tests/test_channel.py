@@ -21,7 +21,7 @@ def out_of_place_intensities(p, rng, size):
     u = rng.random(size)
     lo3, hi3 = p.d_min**3, p.d_max**3
     d = (lo3 + u * (hi3 - lo3)) ** (1.0 / 3.0)
-    h_l = p.fspl_constant / d**2
+    h_l = p.c_fspl / d**2
     u = rng.random(size)
     h_p = p.a0 * u ** (1.0 / p.xi_p**2)
     return h_l * h_p
@@ -87,7 +87,7 @@ class TestSampleChannel:
     def test_support_bound(self):
         p = params()
         rng = derive(3, 10)
-        bound = p.a0 * p.fspl_constant / p.d_min**2
+        bound = p.a0 * p.c_fspl / p.d_min**2
         for _ in range(1000):
             assert 0 < ch.sample_channel(p, rng) <= bound
 
@@ -100,7 +100,7 @@ class TestSampleChannel:
             u_d, u_p = rng.random(), rng.random()
             lo3, hi3 = p.d_min**3, p.d_max**3
             d = (lo3 + u_d * (hi3 - lo3)) ** (1.0 / 3.0)
-            h_l = p.fspl_constant / d**2
+            h_l = p.c_fspl / d**2
             h_p = p.a0 * u_p ** (1.0 / p.xi_p**2)
             rng = derive(seed, 1, 2)
             assert ch.sample_distance(p, rng) == d

@@ -68,7 +68,9 @@ class TestConfigSchema:
             load_config({"run": {"seed": -1}})
 
     def test_theorem1_requires_smoothness_estimate(self):
-        with pytest.raises(ConfigError, match="L1_estimate"):
+        # run.L1_estimate alone selects the theorem1 step; run.lr is no longer a key.
+        assert load_config({}).run.L1_estimate is None
+        with pytest.raises(ConfigError, match="run.lr: Extra inputs are not permitted"):
             load_config({"run": {"lr": "theorem1"}})
 
     @pytest.mark.parametrize("key", ["train_images", "train_labels",
@@ -79,10 +81,11 @@ class TestConfigSchema:
         assert str(err.value).startswith(f"learner.dataset.type / learner.dataset.{key}: ")
 
     def test_constant_lr_rejects_smoothness_estimate(self):
+        # A set L1_estimate replaces the constant step eta, so the two never meet.
         with pytest.raises(ConfigError) as err:
-            load_config({"run": {"lr": "constant", "L1_estimate": 2.0}})
-        assert str(err.value).startswith("run.lr / run.L1_estimate: ")
-        assert load_config({"run": {"lr": "theorem1", "L1_estimate": 2.0}}).run.L1_estimate == 2.0
+            load_config({"run": {"eta": 0.1, "L1_estimate": 2.0}})
+        assert str(err.value) == "run.L1_estimate / run.eta: unused by theorem1"
+        assert load_config({"run": {"L1_estimate": 2.0}}).run.L1_estimate == 2.0
 
     def test_resolved_json_round_trip(self):
         cfg = load_config({"run": {"seed": 3, "eta": 0.01}})
@@ -91,13 +94,14 @@ class TestConfigSchema:
         assert config_hash(again) == config_hash(cfg)
 
     @pytest.mark.parametrize("name, digest, resolved", [
-        ("default", "6b2cdb24ec706ef8",
-         "3cf7535ed0c32da6ee85efb1b93d2cc26592fea3f0db9b9feb3def002b89058a"),
-        ("mnist_full", "86aa6bf7a24bf2b5",
-         "6482fddad39542d5f56f725b89260cf0194c0354799651538b5278f74f98fdc7"),
+        ("default", "48c7b3da557453d0",
+         "6c90b5516bde2a20378bf8830a5434d13f303c7d952b6644a2411d1951dc9f06"),
+        ("mnist_full", "97ca24f3a100d91b",
+         "b62ec523aab69530c3095966e0bebe05cca3498e232dfebfa66d8ce446312e87"),
     ])
     def test_bundled_configs_keep_hash_and_resolved_bytes(self, name, digest, resolved):
-        # The values the pydantic schema gave; mnist_full's IDX paths need only exist.
+        # The values the pydantic schema gave, less the removed run.lr and
+        # channel.lambda_opt_nm; mnist_full's IDX paths need only exist.
         path = ROOT / "configs" / f"{name}.json"
         for key, value in json.loads(path.read_text())["learner"]["dataset"].items():
             if key.endswith(("_images", "_labels")):
@@ -159,22 +163,12 @@ class TestConfigSchema:
             load_config({"learner": {"local_steps": 0}})
 
     def test_frame_capacity_key_rejected(self):
-        with pytest.raises(ConfigError, match="run.frame_capacity"):
-            load_config({"run": {"frame_capacity": 8}})
-
-    def test_wavelength_and_c_fspl_are_exclusive(self):
-        both = "channel.lambda_opt_nm / channel.c_fspl: set one of the two"
-        with pytest.raises(ConfigError, match=both):
-            load_config({"channel": {"lambda_opt_nm": 800.0, "c_fspl": 1.75e12}})
-        with pytest.raises(ConfigError, match=both):
-            load_config({"channel": {"c_fspl": 1.75e12}},
-                        overrides={"channel.lambda_opt_nm": 800.0})
-        # The default wavelength applies only without c_fspl, and either
-        # resolved form loads back to the same config.
-        for channel, wavelength in (({}, 1550.0), ({"c_fspl": 1.75e12}, None)):
-            cfg = load_config({"channel": channel})
-            assert cfg.channel.lambda_opt_nm == wavelength
-            assert load_config(json.loads(resolved_json(cfg))) == cfg
+        # Each removed key: a config that still sets it fails naming it.
+        for key, value in (("run.frame_capacity", 8), ("run.lr", "theorem1"),
+                           ("channel.lambda_opt_nm", 800.0)):
+            with pytest.raises(ConfigError) as err:
+                load_config({}, overrides={key: value})
+            assert str(err.value) == f"{key}: Extra inputs are not permitted"
 
     def test_sections_are_frozen_and_copies_validated(self):
         # Every section, and every copy of one, holds only values
@@ -182,7 +176,7 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="channel.c_fspl: Input should be greater than 0"):
             ChannelConfig(c_fspl=-1.0)
         with pytest.raises(ConfigError):
-            replace(unit_channel(1.0), lambda_opt_nm=800.0, a0=5.0)
+            replace(unit_channel(1.0), a0=5.0)
         with pytest.raises(FrozenInstanceError):
             load_config({}).run.seed = -1
         cfg = load_config({})
@@ -193,7 +187,9 @@ class TestConfigSchema:
         params = load_config({}).channel
         assert params.d_min == 500e3
         assert params.d_max == 2000e3
-        assert params.fspl_constant == pytest.approx((1550e-9 / (4 * math.pi))**2)
+        # The 1550 nm constant, to the bit.
+        assert params.c_fspl == (1550.0 * 1e-9 / (4.0 * math.pi)) ** 2
+        assert ChannelConfig().c_fspl == params.c_fspl
 
 
 class TestCliSimulate:
@@ -216,38 +212,11 @@ class TestCliSimulate:
         metrics = (tmp_path / "out" / "metrics.csv").read_text()
         assert len(metrics.strip().split("\n")) == 2
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg_path = fast_config(tmp_path)
-        monkeypatch.setenv("OPTIVOTE_SEED", "42")
-        assert cli.main(["simulate", "--config", cfg_path]) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["seed"] == 42
-
-    def test_bad_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
-        cfg_path = fast_config(tmp_path)
-        monkeypatch.setenv("OPTIVOTE_SEED", "abc")
-        assert cli.main(["simulate", "--config", cfg_path]) == 1
-        assert "OPTIVOTE_SEED" in capsys.readouterr().err
-
     def test_negative_seed_override_exits_one(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)
         assert cli.main(["simulate", "--config", cfg_path, "--run.seed", "-1"]) == 1
         assert "run.seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_env_seed_with_typed_seed_exits_one(self, tmp_path, monkeypatch, capsys):
-        cfg_path = fast_config(tmp_path)
-        monkeypatch.setenv("OPTIVOTE_SEED", "5")
-        assert cli.main(["simulate", "--config", cfg_path, "--run.seed", "7"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: OPTIVOTE_SEED would override --run.seed; give one of the two\n")
-        assert not (tmp_path / "out").exists()
-
-    def test_negative_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
-        cfg_path = fast_config(tmp_path)
-        monkeypatch.setenv("OPTIVOTE_SEED", "-1")
-        assert cli.main(["simulate", "--config", cfg_path]) == 1
-        assert "run.seed" in capsys.readouterr().err
 
     def test_bad_channel_rejected_before_writing(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path, channel={"c_fspl": -1})
@@ -359,7 +328,7 @@ class TestCliSimulate:
         ("run.M", "2", "run.m / run.M: require 1 <= m <= M"),  # run.m is 3
         ("run.d_b", "0", "run.d_b: Input should be greater than or equal to 1"),
         # 1e308 * d_b overflows, so the step 1 / sqrt(L1_estimate * d_b) is 0.
-        ("run.L1_estimate", "1e308", "run.lr / run.L1_estimate / run.d_b: the theorem1 step"),
+        ("run.L1_estimate", "1e308", "run.L1_estimate / run.d_b: the theorem1 step"),
         # A key its branch never reads keeps its default.
         *[(f"learner.dataset.{name}", value,
            f"learner.dataset.type / learner.dataset.{name}: unused by mnist")
@@ -369,7 +338,7 @@ class TestCliSimulate:
          "learner.model.arch / learner.model.hidden: unused by logistic"),
         ("learner.partition.labels_per_node", "3",
          "learner.partition.mode / learner.partition.labels_per_node: unused by iid"),
-        ("run.eta", "0.1", "run.lr / run.eta: unused by theorem1"),
+        ("run.eta", "0.1", "run.L1_estimate / run.eta: unused by theorem1"),
     ])
     def test_bad_value_exits_one_before_data_build(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):
@@ -386,9 +355,8 @@ class TestCliSimulate:
                 (tmp_path / name).write_bytes(b"")
                 dataset[name] = str(tmp_path / name)
             cfg_path = fast_config(tmp_path, learner={"dataset": dataset})
-        extra = {"run.L1_estimate": ["--run.lr", '"theorem1"'],
-                 "learner.model.hidden": ["--learner.model.arch", '"mlp"'],
-                 "theorem1": ["--run.lr", '"theorem1"', "--run.L1_estimate", "2"],
+        extra = {"learner.model.hidden": ["--learner.model.arch", '"mlp"'],
+                 "theorem1": ["--run.L1_estimate", "2"],
                  }.get(branch or key, [])
         assert cli.main(["simulate", "--config", cfg_path, *extra,
                          f"--{key}", value]) == 1
@@ -398,7 +366,8 @@ class TestCliSimulate:
     @pytest.mark.parametrize("key, value, message", [
         ("channel.d_min_km", "0", "channel.d_min_km: Input should be greater than 0"),
         ("channel.d_max_km", "100", "channel.d_min_km / channel.d_max_km: require"),
-        ("channel.lambda_opt_nm", "0", "channel.lambda_opt_nm: Input should be greater than 0"),
+        # a removed key
+        ("channel.lambda_opt_nm", "0", "channel.lambda_opt_nm: Extra inputs are not permitted"),
         ("channel.a0", "0", "channel.a0: Input should be greater than 0"),
         ("channel.a0", "1.5", "channel.a0: Input should be less than or equal to 1"),
         ("channel.xi_p", "0", "channel.xi_p: Input should be greater than 0"),
@@ -477,7 +446,7 @@ DESK_DIGESTS = {
 
 
 @pytest.mark.parametrize("scheme", DESK_DIGESTS)
-def test_desk_bytes_are_pinned(tmp_path, monkeypatch, scheme):
+def test_desk_bytes_are_pinned(tmp_path, scheme):
     """The desk config's three CSVs keep their bytes under every scheme.
 
     These bytes depend on the numpy and OpenBLAS build as well as on the code:
@@ -485,7 +454,6 @@ def test_desk_bytes_are_pinned(tmp_path, monkeypatch, scheme):
     They were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64),
     so a different build that fails here needs its digests checked by hand.
     """
-    monkeypatch.delenv("OPTIVOTE_SEED", raising=False)
     out = tmp_path / scheme
     assert cli.main(["--threads", "2", "simulate", "--config", str(ROOT / "configs/default.json"),
                      "--run.scheme", scheme, "--output.dir", str(out),
@@ -579,7 +547,8 @@ class TestCliTheory:
         (["theory", "--op", "theta", "--lam", "1e308", "--p-avg", "10"], "theta overflowed"),
         (["theory", "--op", "convergence_bound", "--gap", "1e308", "--L1", "1e300"],
          "convergence_bound overflowed"),
-        (["theory", "--op", "q_bound", "--g", "1e200"], "q_bound overflowed"),
+        (["theory", "--op", "energy_means", "--m-plus", "2", "--theta", "1e308"],
+         "energy_means overflowed"),
         (["sweep", "--op", "theta", "--param", "lam=1,1e308", "--p-avg", "10"],
          "theta overflowed at lam=1e308"),
     ])
@@ -587,6 +556,14 @@ class TestCliTheory:
         # Finite flags whose result is not finite print no JSON Infinity and no partial CSV.
         assert cli.main(argv) == 3
         assert capsys.readouterr() == ("", f"numeric error: --op {message}\n")
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--op", "error_bound", "--xi", "1e-320"], 0.5),
+        (["--op", "q_bound", "--g", "1e200"], 0.0),
+    ])
+    def test_finite_result_past_an_overflowing_term_prints(self, capsys, argv, value):
+        assert cli.main(["theory", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)[argv[1]] == pytest.approx(value)
 
     def test_overflowing_sweep_writes_no_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -626,15 +603,17 @@ class TestCliTheory:
         assert capsys.readouterr() == ("", "error: q must be in [0, 1/2]\n")
 
     def test_wavelength_with_c_fspl_exits_one(self, tmp_path, capsys):
-        both = "error: channel.lambda_opt_nm / channel.c_fspl: set one of the two\n"
-        for argv in (["theory", "--op", "lambda_eff", "--c-fspl", "1.75e12",
-                      "--lambda-opt-nm", "800"],
-                     ["sweep", "--op", "lambda_eff", "--c-fspl", "1.75e12",
-                      "--param", "lambda_opt_nm=800,900"],
-                     ["simulate", "--config", fast_config(tmp_path),
-                      "--channel.lambda_opt_nm", "800"]):
+        # c_fspl is the one way to set the path loss: no wavelength flag, axis or key.
+        for argv, message in (
+                (["theory", "--op", "lambda_eff", "--c-fspl", "1.75e12", "--lambda-opt-nm", "800"],
+                 "unrecognized arguments: ['--lambda-opt-nm', '800']"),
+                (["sweep", "--op", "lambda_eff", "--c-fspl", "1.75e12",
+                  "--param", "lambda_opt_nm=800,900"], "--param lambda_opt_nm: not a theory flag"),
+                (["simulate", "--config", fast_config(tmp_path), "--channel.lambda_opt_nm", "800"],
+                 "channel.lambda_opt_nm: Extra inputs are not permitted\n")):
             assert cli.main(argv) == 1
-            assert capsys.readouterr() == ("", both)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
 
@@ -717,7 +696,7 @@ class TestCliSweep:
             assert (typed.d_b, typed.sigma_n2) == (4, 0.5)
             assert [name for name in vars(typed) if name in cli.THEORY_FLAGS] == [
                 "d_b", "sigma_n2"]
-        assert len(cli.THEORY_FLAGS) == 24
+        assert len(cli.THEORY_FLAGS) == 23
         # Each closed form's parameter is its flag, typed as the parameter is annotated.
         closed_forms = [getattr(theory, op) for op, (_, module) in cli.THEORY_OPS.items()
                         if module is theory]
@@ -842,6 +821,20 @@ class TestCliVerify:
         assert cli.build_parser().parse_args(["verify"]).threads == 6
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli.build_parser().parse_args(["verify"]).threads == 1
+
+    def test_samples_past_numpys_index_exit_one_before_drawing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before validating --samples")
+
+        monkeypatch.setattr(cli.montecarlo, "_intensities_at", no_draws)
+        monkeypatch.setattr(cli.montecarlo, "_cohort_counts", no_draws)
+        out = tmp_path / "reports.json"
+        assert cli.main(["verify", "--samples", "9" * 400, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --samples must be at most ")
+        assert not out.exists()
 
     def test_too_few_samples_exits_one(self, tmp_path, capsys):
         out = tmp_path / "reports.json"

@@ -154,6 +154,18 @@ class TestRun:
         b = run_metrics_csv(load_config(small_config(seed=1)))
         assert a != b
 
+    def test_l1_estimate_sets_the_theorem1_step(self, monkeypatch):
+        steps, step = [], orch.learner.apply_update
+
+        def record(model, direction, eta):
+            steps.append(eta)
+            return step(model, direction, eta)
+
+        monkeypatch.setattr(orch.learner, "apply_update", record)
+        orch.run(load_config(small_config(rounds=1, eta=0.05)))
+        orch.run(load_config(small_config(rounds=1, eta=0.05, L1_estimate=10.0)))
+        assert steps == [0.05, orch.theory.theorem1_eta(10.0, 16)]
+
     def test_fixed_power_equals_rho_zero(self):
         base = small_config(scheme="optivote")
         base["power"] = {"rho": 0.0}
@@ -314,7 +326,10 @@ class TestLowSnrWarning:
     @staticmethod
     def run(c_fspl, scheme):
         cfg = small_config(rounds=2, scheme=scheme)
-        cfg["channel"]["c_fspl"] = c_fspl
+        if c_fspl is None:  # the default: the physical 1550 nm constant
+            del cfg["channel"]["c_fspl"]
+        else:
+            cfg["channel"]["c_fspl"] = c_fspl
         orch.run(load_config(cfg))
 
     @pytest.mark.parametrize("scheme", ["optivote", "fedavg_air"])

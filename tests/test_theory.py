@@ -62,6 +62,12 @@ class TestErrorBound:
             b = theory.error_bound(M, xi, q)
             assert q < b < 0.5
 
+    @pytest.mark.parametrize("xi", [1e-320, 6e-309])
+    def test_tiny_xi_where_two_over_xi_overflows(self, xi):
+        # 2/xi is inf (and 1/xi too at 1e-320), yet the bound tends to 1/2 as xi -> 0.
+        assert theory.error_bound(10, xi, 0.2) == pytest.approx(0.5)
+        assert theory.error_bound_full(10, xi, 1.0, 1.0, 4) == pytest.approx(0.5)
+
     def test_monotone_in_xi_and_m(self):
         xis = [0.1, 0.5, 1, 5, 50]
         vals = [theory.error_bound(10, xi, 0.2) for xi in xis]
@@ -81,6 +87,11 @@ class TestQBound:
 
     def test_large_margin_vanishes(self):
         assert theory.q_bound(1e6, 1.0, 1) < 1e-11
+
+    def test_margin_whose_square_overflows(self):
+        # ratio**2 is past the float range; the bound 2/9 / ratio^2 is not.
+        assert theory.q_bound(1e160, 1.0, 1) == (2.0 / 9.0) / 1e160 / 1e160 > 0.0
+        assert theory.q_bound(1e200, 1.0, 1) == 0.0
 
     def test_zero_gradient_gives_half(self):
         assert theory.q_bound(0.0, 1.0, 16) == 0.5
